@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import CgSettings, cg_solve, max_real_root_depressed_cubic, tridiagonal_solve
+from .kernels import CgSettings, cg_solve, max_real_root_depressed_cubic, neumann_solve
 from .operators import GridDims, LinearOperator, make_derivative_operator
 from .problems import TestProblem
 from .robust import gradient_stats, update_balance
@@ -207,15 +207,6 @@ def update_sparse_grad(state: AdmmState, cfg: AdmmConfig, grad_model: np.ndarray
     return soft_threshold(target, 1.0 / cfg.split_weight)
 
 
-def _damped_bands(n: int, c: float):
-    # bands of I + c * L with L the first-difference normal matrix (path
-    # graph Laplacian): diagonal (1, 2, ..., 2, 1), off-diagonals -1
-    lap = np.full(n, 2.0)
-    lap[0] = lap[-1] = 1.0
-    off = np.full(n - 1, -c)
-    return off, 1.0 + c * lap, off
-
-
 def update_smooth_grad(
     state: AdmmState,
     cfg: AdmmConfig,
@@ -226,26 +217,21 @@ def update_smooth_grad(
 
         (I + (balance/split_weight) B'B) g2 = D m - g1 - y1
 
-    with B the per-component first difference.  B'B decouples into
-    tridiagonal systems: one of size n in 1-d; in 2-d one along each grid row
-    for the horizontal block and one along each grid column for the vertical
-    block.
+    with B the per-component first difference.  B'B is the Neumann Laplacian
+    of each component along its own axis: along the model in 1-d; in 2-d
+    along the grid rows for the horizontal block and along the grid columns
+    for the vertical block.  Each is one ``neumann_solve``.
     """
     target = grad_model - state.sparse_grad - state.dual_split
     c = state.balance / cfg.split_weight
     if c == 0.0:
         return target.copy()
     if dims.is_1d:
-        sub, diag, sup = _damped_bands(dims.n, c)
-        return tridiagonal_solve(sub, diag, sup, target)
+        return neumann_solve(target, 1.0, c, axes=(0,))
     n = dims.n
-    h = target[:n].reshape((dims.nz, dims.nx), order="F")
-    v = target[n:].reshape((dims.nz, dims.nx), order="F")
-    sub, diag, sup = _damped_bands(dims.nx, c)
-    h_solved = tridiagonal_solve(sub, diag, sup, h.T).T
-    sub, diag, sup = _damped_bands(dims.nz, c)
-    v_solved = tridiagonal_solve(sub, diag, sup, v)
-    return np.concatenate([h_solved.ravel(order="F"), v_solved.ravel(order="F")])
+    h = neumann_solve(dims.to_grid(target[:n]), 1.0, c, axes=(1,))
+    v = neumann_solve(dims.to_grid(target[n:]), 1.0, c, axes=(0,))
+    return np.concatenate([dims.to_vector(h), dims.to_vector(v)])
 
 
 def update_noise(state: AdmmState, cfg: AdmmConfig, misfit: np.ndarray) -> tuple[np.ndarray, float]:

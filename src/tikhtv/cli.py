@@ -28,7 +28,7 @@ from .admm import (
     admm_run,
     first_stable_iteration,
 )
-from .kernels import CgSettings, cg_solve
+from .kernels import CgSettings, neumann_solve
 from .operators import GridDims, identity, make_derivative_operator, make_gaussian_sensing, make_radon
 from .problems import TestProblem, add_noise, make_dix_problem, make_phantom, make_test_signal
 
@@ -151,9 +151,12 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {raw!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 # key -> (parser, applicable experiments or None for all)
@@ -314,8 +317,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("epsilon_scale must be positive")
     if cfg.noise_level < 0.0:
         raise ConfigError("noise_level must be non-negative")
-    if cfg.max_iter < 1:
-        raise ConfigError("max_iter must be at least 1")
     for name in ("n", "m_rows", "nz", "nx", "n_angles", "n_rays"):
         value = getattr(cfg, name)
         if value is not None and value < 1:
@@ -327,6 +328,12 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment in ("xray_full", "xray_limited"):
         if not -90.0 <= cfg.angle_min < cfg.angle_max <= 90.0:
             raise ConfigError("angles must satisfy -90 <= angle_min < angle_max <= 90")
+    # the solver settings are checked where they are defined
+    for mode in cfg.modes:
+        try:
+            _solver_config(cfg, mode, noise_energy=0.0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +424,12 @@ def build_problems(cfg: ExperimentConfig) -> list[tuple[str | None, TestProblem]
 def admm_config_for(cfg: ExperimentConfig, problem: TestProblem, mode: str) -> AdmmConfig:
     """The per-mode solver configuration, with the noise budget scaled by
     ``epsilon_scale``."""
+    return _solver_config(cfg, mode, cfg.epsilon_scale * problem.noise_energy)
+
+
+def _solver_config(cfg: ExperimentConfig, mode: str, noise_energy: float) -> AdmmConfig:
     return AdmmConfig(
-        noise_energy=cfg.epsilon_scale * problem.noise_energy,
+        noise_energy=noise_energy,
         split_weight=cfg.split_weight,
         data_weight=cfg.data_weight,
         budget_weight=cfg.budget_weight,
@@ -503,26 +514,15 @@ def write_image(model, dims: GridDims, path, image_format: str) -> None:
 def integrate_smooth_gradient(smooth_grad, dims: GridDims) -> np.ndarray:
     """Potential of the smooth gradient component under a mean-zero gauge.
 
-    In 1-d the gradient is integrated by a cumulative sum and re-anchored to
-    zero mean.  In 2-d the least-squares potential solves ``D'D m2 = D' g2``
-    by CG (the rhs is orthogonal to the constant null space) and is then
-    shifted to zero mean.
+    The least-squares potential solves ``D'D m2 = D' g2``.  ``D'D`` is the
+    Neumann Laplacian over all grid axes, so one exact ``neumann_solve``
+    gives the solution whose constant mode is zero, i.e. the mean-zero one.
     """
-    smooth_grad = np.asarray(smooth_grad, dtype=float).ravel()
-    if dims.is_1d:
-        m2 = np.concatenate([[0.0], np.cumsum(smooth_grad[:-1])])
-    else:
-        grad_op = make_derivative_operator("grad", dims)
-
-        def apply(v):
-            return grad_op.adjoint(grad_op.forward(v))
-
-        m2, _ = cg_solve(
-            apply,
-            grad_op.adjoint(smooth_grad),
-            settings=CgSettings(rel_tol=1e-8, max_iter=4000, warm_start=False),
-        )
-    return m2 - float(m2.mean())
+    grad_op = make_derivative_operator("grad", dims)
+    rhs = grad_op.adjoint(np.asarray(smooth_grad, dtype=float).ravel())
+    # a 1-d model is solved along its one axis, not as an (n, 1) grid
+    grid = np.squeeze(dims.to_grid(rhs))
+    return dims.to_vector(neumann_solve(grid, 0.0, 1.0, axes=range(grid.ndim)))
 
 
 # ---------------------------------------------------------------------------
@@ -664,13 +664,12 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.max_iter is not None:
-            if args.max_iter < 1:
-                raise ConfigError("--max-iter must be at least 1")
             overrides["max_iter"] = args.max_iter
         if args.mode:
             overrides["modes"] = tuple(dict.fromkeys(args.mode))
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
+            _validate_config(cfg)
         out_dir = run_experiment(cfg, out_override=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Small numerical kernels: conjugate gradients, tridiagonal solves and the
-closed-form maximum real root of a depressed cubic."""
+"""Small numerical kernels: conjugate gradients, the exact Neumann-Laplacian
+solve and the closed-form maximum real root of a depressed cubic."""
 
 from __future__ import annotations
 
@@ -10,15 +10,10 @@ import numpy as np
 
 __all__ = [
     "CgSettings",
-    "ZeroPivotError",
     "cg_solve",
-    "tridiagonal_solve",
+    "neumann_solve",
     "max_real_root_depressed_cubic",
 ]
-
-
-class ZeroPivotError(ArithmeticError):
-    """A tridiagonal elimination hit an exactly zero pivot."""
 
 
 @dataclass(frozen=True)
@@ -91,48 +86,38 @@ def cg_solve(
     return x, settings.max_iter
 
 
-def tridiagonal_solve(sub, diag, sup, rhs) -> np.ndarray:
-    """Thomas elimination for a tridiagonal system, no pivoting.
+def neumann_solve(rhs, shift: float, weight: float, axes) -> np.ndarray:
+    """Exact solve of ``(shift I + weight sum_a L_a) x = rhs``.
 
-    Parameters
-    ----------
-    sub, sup : arrays of length n-1
-        Sub- and super-diagonal entries.
-    diag : array of length n
-        Main diagonal.
-    rhs : array of shape (n,) or (n, k)
-        One or many right-hand sides sharing the same matrix.
-
-    Raises
-    ------
-    ZeroPivotError
-        If elimination encounters an exactly zero pivot.
+    ``L_a`` is the Neumann (path-graph) Laplacian along array axis ``a``,
+    i.e. ``D'D`` for the first difference with a zero last row.  The even
+    reflection ``[x, x[::-1]]`` along each axis turns ``L_a`` into the
+    periodic Laplacian, which the real FFT diagonalises with eigenvalues
+    ``2 - 2 cos(pi k / n)``.  With ``shift == 0`` the constant mode is left
+    undetermined and set to zero, giving the mean-zero solution.
     """
-    diag = np.asarray(diag, dtype=float)
-    sub = np.asarray(sub, dtype=float)
-    sup = np.asarray(sup, dtype=float)
-    n = diag.shape[0]
-    if sub.shape[0] != n - 1 or sup.shape[0] != n - 1:
-        raise ValueError("sub and sup must have length n-1")
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {n}")
-
-    scratch = np.empty(n - 1)
-    out = rhs.astype(float, copy=True)
-    piv = diag[0]
-    if piv == 0.0:
-        raise ZeroPivotError("zero pivot at row 0")
-    out[0] = out[0] / piv
-    for i in range(1, n):
-        scratch[i - 1] = sup[i - 1] / piv
-        piv = diag[i] - sub[i - 1] * scratch[i - 1]
-        if piv == 0.0:
-            raise ZeroPivotError(f"zero pivot at row {i}")
-        out[i] = (out[i] - sub[i - 1] * out[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        out[i] -= scratch[i] * out[i + 1]
-    return out
+    axes = tuple(axes)
+    extended = rhs
+    for a in axes:
+        extended = np.concatenate([extended, np.flip(extended, axis=a)], axis=a)
+    spectrum = np.fft.rfftn(extended, axes=axes)
+    # the reflection is 2**len(axes) times the size of rhs; free it before
+    # the inverse transform allocates
+    del extended
+    symbol = float(shift)
+    for a in axes:
+        # the half-spectrum axis keeps k = 0..n, the others k = 0..2n-1;
+        # 4 sin^2(pi k / 2n) = 2 - 2 cos(pi k / n) covers both without the
+        # cancellation of the cosine form at small k
+        k = np.arange(spectrum.shape[a]).reshape([-1 if b == a else 1 for b in range(rhs.ndim)])
+        symbol = symbol + weight * 4.0 * np.sin(np.pi * k / (2 * rhs.shape[a])) ** 2
+    if shift == 0.0:
+        # an infinite symbol zeroes the constant mode of each solved line
+        symbol[(0,) * rhs.ndim] = np.inf
+    spectrum *= 1.0 / symbol
+    solved = np.fft.irfftn(spectrum, s=[2 * rhs.shape[a] for a in axes], axes=axes)
+    return solved[tuple(slice(0, n) for n in rhs.shape)]
 
 
 def max_real_root_depressed_cubic(p: float, q: float) -> float:

@@ -23,12 +23,7 @@ from tikhtv.admm import (
     update_sparse_grad,
 )
 from tikhtv.cli import admm_config_for, build_problems, parse_config_text
-from tikhtv.kernels import (
-    CgSettings,
-    cg_solve,
-    max_real_root_depressed_cubic,
-    tridiagonal_solve,
-)
+from tikhtv.kernels import CgSettings, cg_solve, max_real_root_depressed_cubic, neumann_solve
 from tikhtv.operators import (
     GridDims,
     compose,
@@ -168,18 +163,16 @@ def test_acceptance_01_dense_oracles():
         ok = False
         notes.append(f"cg {cg_err:.2e}")
 
-    # Thomas elimination against a dense solve
-    nt = 50
-    sub = rng.standard_normal(nt - 1)
-    sup = rng.standard_normal(nt - 1)
-    diag = 4.0 + np.abs(rng.standard_normal(nt))
-    full = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-    rhs = rng.standard_normal(nt)
-    tri_err = np.linalg.norm(tridiagonal_solve(sub, diag, sup, rhs) - np.linalg.solve(full, rhs))
-    tri_err /= np.linalg.norm(rhs)
-    if tri_err > 1e-10:
-        ok = False
-        notes.append(f"tridiag {tri_err:.2e}")
+    # Neumann-Laplacian solve against a dense solve of I + c D'D, D the gradient
+    for dims in (GridDims(50, 1), dims2):
+        grad = to_dense(make_derivative_operator("grad", dims))
+        full = np.eye(dims.n) + 3.0 * grad.T @ grad
+        rhs = rng.standard_normal(dims.n)
+        solved = dims.to_vector(neumann_solve(dims.to_grid(rhs), 1.0, 3.0, axes=(0, 1)))
+        neumann_err = np.linalg.norm(solved - np.linalg.solve(full, rhs)) / np.linalg.norm(rhs)
+        if neumann_err > 1e-10:
+            ok = False
+            notes.append(f"neumann {dims.nz}x{dims.nx} {neumann_err:.2e}")
 
     # depressed-cubic max real root against companion-matrix roots
     worst_cubic = 0.0

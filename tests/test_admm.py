@@ -17,9 +17,10 @@ from tikhtv.admm import (
     update_smooth_grad,
     update_sparse_grad,
 )
+from tikhtv.cli import admm_config_for, build_problems, parse_config_text
 from tikhtv.kernels import CgSettings
 from tikhtv.operators import GridDims, identity, make_derivative_operator, make_gaussian_sensing, to_dense
-from tikhtv.problems import TestProblem, add_noise, make_test_signal
+from tikhtv.problems import TestProblem, add_noise, make_phantom, make_test_signal
 
 
 def small_problem(n=32, m=24, kind="mixed", noise=0.01, seed=0):
@@ -431,6 +432,62 @@ def test_run_is_deterministic():
     assert np.array_equal(state_a.noise, state_b.noise)
     for ra, rb in zip(hist_a, hist_b):
         assert ra == rb
+
+
+def phantom_denoise_problem(dims, seed=6):
+    truth = make_phantom("piecewise_smooth_2d", dims)
+    problem = TestProblem(
+        operator=identity(dims.n),
+        data=truth.copy(),
+        true_model=truth,
+        true_noise=None,
+        noise_energy=0.0,
+        dims=dims,
+        seed=seed,
+        label="phantom",
+    )
+    return add_noise(problem, 0.1, "model_norm", seed)
+
+
+def dix_1d_run_inputs(sweeps):
+    cfg = parse_config_text(f"experiment = dix_1d\nmax_iter = {sweeps}\n")
+    _, problem = build_problems(cfg)[0]
+    return problem, admm_config_for(cfg, problem, "combined")
+
+
+def phantom_run_inputs(sweeps):
+    problem = phantom_denoise_problem(GridDims(32, 24))
+    cfg = AdmmConfig(noise_energy=problem.noise_energy, max_iter=sweeps, run_to_max_iter=True)
+    return problem, cfg
+
+
+@pytest.mark.parametrize("inputs, sweeps", [(dix_1d_run_inputs, 30), (phantom_run_inputs, 25)],
+                         ids=["dix_1d", "phantom_32x24"])
+def test_negated_data_negates_model_bitwise(inputs, sweeps):
+    # every block update is odd in (d, iterates) and the balance statistics
+    # see only magnitudes, so the whole run flips sign exactly
+    problem, cfg = inputs(sweeps)
+    plus, _ = admm_run(problem, cfg)
+    minus, _ = admm_run(dataclasses.replace(problem, data=-problem.data), cfg)
+    assert np.array_equal(minus.model, -plus.model)
+
+
+def test_transposed_grid_transposes_model():
+    dims = GridDims(32, 24)
+    problem = phantom_denoise_problem(dims)
+    flipped_dims = GridDims(dims.nx, dims.nz)
+    flipped = dataclasses.replace(
+        problem,
+        data=flipped_dims.to_vector(dims.to_grid(problem.data).T),
+        true_model=flipped_dims.to_vector(dims.to_grid(problem.true_model).T),
+        dims=flipped_dims,
+    )
+    cfg = AdmmConfig(noise_energy=problem.noise_energy, max_iter=25, run_to_max_iter=True)
+    state, _ = admm_run(problem, cfg)
+    state_t, _ = admm_run(flipped, cfg)
+    want = dims.to_grid(state.model).T
+    got = flipped_dims.to_grid(state_t.model)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_run_validates_problem_shapes():

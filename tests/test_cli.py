@@ -87,6 +87,8 @@ def test_parse_value_errors():
         parse_config_text("experiment = cs_1d\nseed = many\n")
     with pytest.raises(ConfigError, match="expected a number"):
         parse_config_text("experiment = cs_1d\nepsilon_scale = big\n")
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config_text("experiment = cs_1d\ncg_rel_tol = inf\n")
     with pytest.raises(ConfigError, match="boolean"):
         parse_config_text("experiment = cs_1d\nrun_to_max_iter = maybe\n")
     with pytest.raises(ConfigError, match="repeat"):
@@ -368,6 +370,25 @@ def test_solve_env_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("TIKHTV_OUT", str(tmp_path / "envroot"))
     assert main(["solve", str(cfg_path)]) == 0
     assert (tmp_path / "envroot" / "cs_1d" / "combined" / "history.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["noise_level = nan", "split_weight = 0.5", "cg_max_iter = 0"])
+def test_solve_rejects_bad_solver_settings_cleanly(tmp_path, capsys, line):
+    code, out = run_mini(tmp_path, text=f"experiment = dix_1d\nmax_iter = 3\n{line}\n")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_overrides_are_validated(tmp_path, capsys):
+    text = "experiment = dix_1d\nmax_iter = 3\nmodes = tv_only\nsplit_weight = 0.5\n"
+    for extra in (("--mode", "combined"), ("--max-iter", "0")):
+        code, out = run_mini(tmp_path, text=text, extra_args=extra)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
 
 def test_solve_exit_codes(tmp_path, capsys, monkeypatch):

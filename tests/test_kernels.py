@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tikhtv.kernels import (
-    CgSettings,
-    ZeroPivotError,
-    cg_solve,
-    max_real_root_depressed_cubic,
-    tridiagonal_solve,
-)
+from tikhtv.kernels import CgSettings, cg_solve, max_real_root_depressed_cubic, neumann_solve
 
 
 def spd_apply(mat):
@@ -104,62 +98,74 @@ def test_cg_settings_validation():
 
 
 # ---------------------------------------------------------------------------
-# Tridiagonal solver
+# Neumann-Laplacian solve
 
 
-def dense_from_bands(sub, diag, sup):
-    n = len(diag)
-    mat = np.diag(diag)
-    mat += np.diag(sub, -1) + np.diag(sup, 1)
-    return mat
+def neumann_laplacian(n):
+    """Dense D'D for the first difference with a zero last row."""
+    d = np.diag(np.ones(n - 1), 1) - np.eye(n)
+    d[-1] = 0.0
+    return d.T @ d
+
+
+def grid_laplacians(nz, nx):
+    """Dense Neumann Laplacians along axis 0 and axis 1 of an (nz, nx) grid,
+    acting on its column-major vector."""
+    return np.kron(np.eye(nx), neumann_laplacian(nz)), np.kron(neumann_laplacian(nx), np.eye(nz))
 
 
 def test_tridiagonal_small_oracle():
-    # [[2, 1, 0], [1, 3, 1], [0, 1, 2]] x = [3, 5, 3] has solution [1, 1, 1]
-    x = tridiagonal_solve([1.0, 1.0], [2.0, 3.0, 2.0], [1.0, 1.0], np.array([3.0, 5.0, 3.0]))
-    assert np.allclose(x, [1.0, 1.0, 1.0], atol=1e-14)
+    # [[2, -1, 0], [-1, 3, -1], [0, -1, 2]] [1, 2, 3] = [0, 2, 4]
+    x = neumann_solve(np.array([0.0, 2.0, 4.0]), 1.0, 1.0, axes=(0,))
+    assert np.allclose(x, [1.0, 2.0, 3.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("trial", range(20))
 def test_tridiagonal_matches_dense_solve(trial):
+    # in 1-d the damped Neumann system is tridiagonal; n covers 2 and both parities
     rng = np.random.default_rng(trial)
-    n = int(rng.integers(2, 64))
-    sub = rng.standard_normal(n - 1)
-    sup = rng.standard_normal(n - 1)
-    # diagonal dominance keeps elimination without pivoting stable
-    diag = 3.0 + np.abs(sub.sum()) + rng.random(n) + 2.0 * np.abs(rng.standard_normal(n))
+    n = 2 if trial == 0 else int(rng.integers(2, 64))
+    shift = float(rng.uniform(0.1, 2.0))
+    weight = float(10.0 ** rng.uniform(-2.0, 3.0))
     rhs = rng.standard_normal(n)
-    mat = dense_from_bands(sub, diag, sup)
-    x = tridiagonal_solve(sub, diag, sup, rhs)
+    mat = shift * np.eye(n) + weight * neumann_laplacian(n)
+    x = neumann_solve(rhs, shift, weight, axes=(0,))
     assert np.linalg.norm(x - np.linalg.solve(mat, rhs)) <= 1e-12 * max(1.0, np.linalg.norm(x))
 
 
-def test_tridiagonal_batched_rhs():
-    rng = np.random.default_rng(77)
-    n, k = 12, 5
-    sub = rng.standard_normal(n - 1)
-    sup = rng.standard_normal(n - 1)
-    diag = 4.0 + rng.random(n)
-    rhs = rng.standard_normal((n, k))
-    got = tridiagonal_solve(sub, diag, sup, rhs)
-    mat = dense_from_bands(sub, diag, sup)
-    assert got.shape == (n, k)
-    assert np.allclose(got, np.linalg.solve(mat, rhs), atol=1e-11)
-
-
-def test_tridiagonal_zero_pivot_raises():
-    with pytest.raises(ZeroPivotError):
-        tridiagonal_solve([1.0], [0.0, 1.0], [1.0], np.array([1.0, 1.0]))
-
-
-def test_tridiagonal_shape_validation():
-    with pytest.raises(ValueError):
-        tridiagonal_solve([1.0, 2.0], [1.0, 2.0], [1.0], np.array([1.0, 1.0]))
-
-
 def test_tridiagonal_single_row():
-    x = tridiagonal_solve([], [2.0], [], np.array([6.0]))
+    # a single node has no neighbour, so only the shift acts
+    x = neumann_solve(np.array([6.0]), 2.0, 5.0, axes=(0,))
     assert np.allclose(x, [3.0])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_neumann_single_axis_of_grid(axis):
+    nz, nx = 5, 8
+    rng = np.random.default_rng(77 + axis)
+    rhs = rng.standard_normal((nz, nx))
+    lap = grid_laplacians(nz, nx)[axis]
+    got = neumann_solve(rhs, 1.0, 0.7, axes=(axis,))
+    want = np.linalg.solve(np.eye(nz * nx) + 0.7 * lap, rhs.ravel(order="F"))
+    assert got.shape == (nz, nx)
+    assert np.allclose(got.ravel(order="F"), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(2,), (7,), (8,), (2, 2), (5, 8), (6, 3)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_neumann_zero_shift_is_mean_zero_least_squares(shape):
+    # rhs keeps its mean, which lies outside the range of the Laplacian:
+    # lstsq then returns the minimum-norm, i.e. mean-zero, least-squares solution
+    rng = np.random.default_rng(sum(shape))
+    rhs = 1.0 + rng.standard_normal(shape)
+    if len(shape) == 1:
+        lap = neumann_laplacian(shape[0])
+    else:
+        lap = sum(grid_laplacians(*shape))
+    got = neumann_solve(rhs, 0.0, 1.0, axes=range(len(shape)))
+    want = np.linalg.lstsq(lap, rhs.ravel(order="F"), rcond=None)[0]
+    assert np.allclose(got.ravel(order="F"), want, atol=1e-12)
+    assert abs(got.mean()) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
