@@ -48,7 +48,7 @@ BALANCE_POLICIES = ("adaptive", "fixed")
 
 
 class DivergenceError(RuntimeError):
-    """The iteration produced non-finite values."""
+    """The data or the iterates hold non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -173,11 +173,16 @@ def update_model(
     cfg: AdmmConfig,
     grad_op: LinearOperator | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Model update: CG solve of the normal equations
+    """Model update: solve of the normal equations
 
-        (w1 D'D + w2 A'A) m = w1 D'(g1 + g2 + y1) + w2 A'(d - e + y2)
+        (w1 D'D + w2 A'A) m = w1 D'(g1 + g2 + y1) + w2 A'(d - e + y2).
 
-    warm-started at the previous model.  Returns (model, cg_iterations).
+    When the operator is marked ``structure == "identity"`` (A = I) the
+    matrix is ``w2 I + w1 L`` with L the Neumann Laplacian of the grid, and
+    one ``neumann_solve`` gives the exact solution with 0 CG iterations.
+    Any other operator takes a CG solve warm-started at the previous model;
+    ``cfg.cg`` (tolerance, cap, warm start) acts only on that path.
+    Returns (model, cg_iterations).
     """
     if grad_op is None:
         grad_op = make_derivative_operator("grad", problem.dims)
@@ -187,6 +192,11 @@ def update_model(
 
     rhs = w1 * adj(state.sparse_grad + state.smooth_grad + state.dual_split)
     rhs += w2 * a_adj(problem.data - state.noise + state.dual_data)
+
+    if problem.operator.structure == "identity":
+        dims = problem.dims
+        axes = (0,) if dims.is_1d else (0, 1)
+        return dims.to_vector(neumann_solve(dims.to_grid(rhs), w2, w1, axes)), 0
 
     def apply(v):
         return w1 * adj(fwd(v)) + w2 * a_adj(a_fwd(v))
@@ -272,11 +282,15 @@ def admm_run(
     Stops once the relative model change falls below ``rel_change_tol``
     unless ``run_to_max_iter`` is set; either way the history records every
     iteration performed.  Returns the final state and the history.
+    Raises ``DivergenceError`` when the data or the noise budget, or later
+    the iterates, hold non-finite values.
     """
     if problem.data.ndim != 1 or problem.data.size != problem.operator.rows:
         raise ValueError("problem data must be a vector of length operator.rows")
     if problem.dims.n != problem.operator.cols:
         raise ValueError("problem dims do not match the operator column count")
+    if not (np.all(np.isfinite(problem.data)) and np.isfinite(cfg.noise_energy)):
+        raise DivergenceError("the data or the noise budget hold non-finite values")
 
     dims = problem.dims
     grad_op = make_derivative_operator("grad", dims)

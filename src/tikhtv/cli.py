@@ -640,8 +640,8 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     """Entry point; returns the process exit code.
 
-    0 on success, 1 on configuration errors, 2 on solver divergence, 3 on
-    output I/O failures.
+    0 on success, 1 on configuration errors, 2 on non-finite data or noise
+    budget and on solver divergence, 3 on output I/O failures.
     """
     parser = _Parser(prog="tikhtv", description="Balanced TV/Tikhonov splitting experiments")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -49,6 +49,9 @@ class LinearOperator:
         Pure functions of a single 1-d array.
     label : str
         Human-readable description used in error messages and logs.
+    structure : str
+        Optional hint for solvers that can exploit the matrix: ``"identity"``
+        marks A = I.  Empty means no known structure.
     """
 
     rows: int
@@ -56,6 +59,7 @@ class LinearOperator:
     forward: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+    structure: str = ""
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ def identity(n: int) -> LinearOperator:
     def fwd(x):
         return _vec(x, n, "identity").copy()
 
-    return LinearOperator(n, n, fwd, fwd, label=f"identity(n={n})")
+    return LinearOperator(n, n, fwd, fwd, label=f"identity(n={n})", structure="identity")
 
 
 # ---------------------------------------------------------------------------

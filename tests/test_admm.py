@@ -175,6 +175,56 @@ def test_update_model_identity_operator_dense_oracle():
     assert np.allclose(model, expected, rtol=0, atol=1e-8)
 
 
+def identity_problem_and_state(dims, seed=11):
+    truth = np.random.default_rng(seed).standard_normal(dims.n)
+    problem = TestProblem(
+        operator=identity(dims.n),
+        data=truth.copy(),
+        true_model=truth,
+        true_noise=None,
+        noise_energy=0.5,
+        dims=dims,
+        seed=seed,
+        label="id",
+    )
+    cfg = AdmmConfig(noise_energy=problem.noise_energy)
+    return problem, cfg, random_state(problem, cfg, seed=seed + 1)
+
+
+@pytest.mark.parametrize("dims", [GridDims(5, 8), GridDims(7, 3), GridDims(2, 1), GridDims(17, 1)],
+                         ids=["5x8", "7x3", "n2", "n17"])
+def test_update_model_identity_is_exact(dims):
+    problem, cfg, state = identity_problem_and_state(dims)
+    D = to_dense(make_derivative_operator("grad", dims))
+    w1, w2 = cfg.split_weight, cfg.data_weight
+    rhs = w1 * D.T @ (state.sparse_grad + state.smooth_grad + state.dual_split)
+    rhs += w2 * (problem.data - state.noise + state.dual_data)
+    expected = np.linalg.solve(w1 * D.T @ D + w2 * np.eye(dims.n), rhs)
+    model, iters = update_model(state, problem, cfg)
+    assert iters == 0
+    assert np.linalg.norm(model - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_update_model_identity_ignores_cg_settings_and_survives_rebuild():
+    problem, cfg, state = identity_problem_and_state(GridDims(6, 5))
+    model, _ = update_model(state, problem, cfg)
+    loose = dataclasses.replace(cfg, cg=CgSettings(max_iter=1, rel_tol=0.5))
+    assert np.array_equal(update_model(state, problem, loose)[0], model)
+
+    # a wrapped operator, as a tracer builds it, keeps the structure hint
+    op = problem.operator
+    calls = []
+    wrapped = dataclasses.replace(
+        op,
+        forward=lambda x: calls.append("forward") or op.forward(x),
+        adjoint=lambda x: calls.append("adjoint") or op.adjoint(x),
+    )
+    rebuilt, iters = update_model(state, dataclasses.replace(problem, operator=wrapped), cfg)
+    assert iters == 0
+    assert calls == ["adjoint"]
+    assert np.array_equal(rebuilt, model)
+
+
 def test_update_sparse_grad_is_soft_threshold():
     problem = small_problem()
     cfg = AdmmConfig(noise_energy=problem.noise_energy)
@@ -470,6 +520,18 @@ def test_negated_data_negates_model_bitwise(inputs, sweeps):
     plus, _ = admm_run(problem, cfg)
     minus, _ = admm_run(dataclasses.replace(problem, data=-problem.data), cfg)
     assert np.array_equal(minus.model, -plus.model)
+
+
+@pytest.mark.parametrize("shift", [0.5, 3.0])
+def test_shifted_data_shifts_model(shift):
+    # with A = I every block update commutes with adding a constant to d and
+    # m: D and the noise residual d - m do not see it, and the exact model
+    # update carries it through w2 I + w1 L, whose L has constants in its kernel
+    problem, cfg = phantom_run_inputs(25)
+    base, _ = admm_run(problem, cfg)
+    moved, _ = admm_run(dataclasses.replace(problem, data=problem.data + shift), cfg)
+    scale = np.max(np.abs(base.model))
+    assert np.max(np.abs(moved.model - (base.model + shift))) <= 1e-12 * scale
 
 
 def test_transposed_grid_transposes_model():

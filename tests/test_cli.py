@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tikhtv.admm import DivergenceError, IterationRecord
+from tikhtv.admm import DivergenceError, IterationRecord, admm_run
 from tikhtv.cli import (
     HISTORY_HEADER,
     ConfigError,
@@ -380,6 +380,35 @@ def test_solve_rejects_bad_solver_settings_cleanly(tmp_path, capsys, line):
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+NON_FINITE_NOISE = {
+    "dix_1d": "experiment = dix_1d\nnoise_level = 1e308\nmax_iter = 3\n",
+    "denoise_2d": "experiment = denoise_2d\nnz = 16\nnx = 16\nnoise_level = 1e308\nmax_iter = 3\n",
+    # finite data whose noise budget ||e||^2 overflows
+    "denoise_2d_budget": "experiment = denoise_2d\nnz = 16\nnx = 16\nnoise_level = 1e200\nmax_iter = 3\n",
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(NON_FINITE_NOISE))
+def test_non_finite_inputs_raise_divergence_before_first_sweep(name):
+    cfg = parse_config_text(NON_FINITE_NOISE[name])
+    _, problem = build_problems(cfg)[0]
+    seen = []
+    with pytest.raises(DivergenceError, match="non-finite"):
+        admm_run(problem, admm_config_for(cfg, problem, "combined"), callback=seen.append)
+    assert seen == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(NON_FINITE_NOISE))
+def test_solve_non_finite_data_exits_2_cleanly(tmp_path, capsys, name):
+    code, _ = run_mini(tmp_path, text=NON_FINITE_NOISE[name])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("solver diverged:")
+    assert "Traceback" not in err
 
 
 def test_cli_overrides_are_validated(tmp_path, capsys):
