@@ -1,116 +1,9 @@
 """Matrix-free solver for inverse problems whose models split into a
 piecewise-constant part plus a smooth part, with automatic balancing of the
-two regularizers driven by robust statistics of the model gradient."""
+two regularizers driven by robust statistics of the model gradient.
 
-from .admm import (
-    BALANCE_POLICIES,
-    MODES,
-    AdmmConfig,
-    AdmmState,
-    DivergenceError,
-    IterationRecord,
-    admm_run,
-    first_stable_iteration,
-    initial_state,
-    soft_threshold,
-    splitting_residual,
-    update_model,
-    update_noise,
-    update_smooth_grad,
-    update_sparse_grad,
-)
-from .cli import (
-    EXPERIMENTS,
-    ConfigError,
-    ExperimentConfig,
-    build_problems,
-    integrate_smooth_gradient,
-    main,
-    parse_config_file,
-    parse_config_text,
-    run_experiment,
-    write_history_csv,
-    write_image,
-)
-from .kernels import CgSettings, cg_solve, max_real_root_depressed_cubic, neumann_solve
-from .operators import (
-    GridDims,
-    LinearOperator,
-    compose,
-    identity,
-    kron_operator,
-    make_causal_integration,
-    make_derivative_operator,
-    make_gaussian_sensing,
-    make_radon,
-    make_subsampler,
-    to_dense,
-)
-from .problems import (
-    TestProblem,
-    add_noise,
-    ellipse_mask,
-    make_dix_problem,
-    make_phantom,
-    make_test_signal,
-    metrics,
-)
-from .robust import GradientStats, gradient_stats, mad, median, update_balance
+The public names live in the submodules: ``tikhtv.operators``,
+``tikhtv.kernels``, ``tikhtv.robust``, ``tikhtv.problems``, ``tikhtv.admm``
+and ``tikhtv.cli``."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmmConfig",
-    "AdmmState",
-    "BALANCE_POLICIES",
-    "CgSettings",
-    "ConfigError",
-    "DivergenceError",
-    "EXPERIMENTS",
-    "ExperimentConfig",
-    "GradientStats",
-    "GridDims",
-    "IterationRecord",
-    "LinearOperator",
-    "MODES",
-    "TestProblem",
-    "add_noise",
-    "admm_run",
-    "build_problems",
-    "cg_solve",
-    "compose",
-    "ellipse_mask",
-    "first_stable_iteration",
-    "gradient_stats",
-    "identity",
-    "initial_state",
-    "integrate_smooth_gradient",
-    "kron_operator",
-    "mad",
-    "main",
-    "make_causal_integration",
-    "make_derivative_operator",
-    "make_dix_problem",
-    "make_gaussian_sensing",
-    "make_phantom",
-    "make_radon",
-    "make_subsampler",
-    "make_test_signal",
-    "max_real_root_depressed_cubic",
-    "median",
-    "metrics",
-    "neumann_solve",
-    "parse_config_file",
-    "parse_config_text",
-    "run_experiment",
-    "soft_threshold",
-    "splitting_residual",
-    "to_dense",
-    "update_balance",
-    "update_model",
-    "update_noise",
-    "update_smooth_grad",
-    "update_sparse_grad",
-    "write_history_csv",
-    "write_image",
-]

@@ -283,7 +283,9 @@ def admm_run(
     unless ``run_to_max_iter`` is set; either way the history records every
     iteration performed.  Returns the final state and the history.
     Raises ``DivergenceError`` when the data or the noise budget, or later
-    the iterates, hold non-finite values.
+    the iterates, hold non-finite values, and when a sweep's model or noise
+    update overflows (the CG's ``FloatingPointError``, the cubic's
+    ``ValueError`` for non-finite coefficients).
     """
     if problem.data.ndim != 1 or problem.data.size != problem.operator.rows:
         raise ValueError("problem data must be a vector of length operator.rows")
@@ -303,14 +305,20 @@ def admm_run(
     stabilized = None
     prev_model = state.model.copy()
     for k in range(1, cfg.max_iter + 1):
-        state.model, cg_iters = update_model(state, problem, cfg, grad_op)
+        try:
+            state.model, cg_iters = update_model(state, problem, cfg, grad_op)
+        except FloatingPointError as exc:
+            raise DivergenceError(f"model update at iteration {k}: {exc}") from exc
         grad_model = grad_op.forward(state.model)
         if cfg.mode != "tikhonov_only":
             state.sparse_grad = update_sparse_grad(state, cfg, grad_model)
         if cfg.mode != "tv_only":
             state.smooth_grad = update_smooth_grad(state, cfg, dims, grad_model)
         data_fit = problem.operator.forward(state.model)
-        state.noise, _ = update_noise(state, cfg, problem.data - data_fit)
+        try:
+            state.noise, _ = update_noise(state, cfg, problem.data - data_fit)
+        except ValueError as exc:
+            raise DivergenceError(f"noise update at iteration {k}: {exc}") from exc
 
         state.dual_split += state.sparse_grad + state.smooth_grad - grad_model
         state.dual_data += problem.data - state.noise - data_fit

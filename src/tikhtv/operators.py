@@ -1,7 +1,9 @@
 """Matrix-free linear operators used by the splitting solvers.
 
 Every operator is a :class:`LinearOperator`: a pair of callables for the
-forward map and its adjoint together with the operator shape.  Operators are
+forward map and its adjoint together with the operator shape.  Both take a
+vector of shape ``(n,)`` or a block of ``k`` vectors of shape ``(n, k)`` and
+act along axis 0; any other shape raises ``ValueError``.  Operators are
 pure (no internal state is mutated by application) and deterministic, so the
 adjoint identity ``<A x, y> == <x, A* y>`` can be checked numerically for any
 of the constructors in this module.
@@ -32,7 +34,8 @@ __all__ = [
     "to_dense",
 ]
 
-# Largest rows*cols for which to_dense will materialise a matrix.
+# Largest entry count of the matrix, or of the identity it is applied to,
+# that to_dense will materialise.
 _DENSE_LIMIT = 1_000_000
 
 
@@ -46,7 +49,9 @@ class LinearOperator:
         Shape of the underlying matrix: forward maps length ``cols`` vectors
         to length ``rows`` vectors, the adjoint maps the other way.
     forward, adjoint : callable
-        Pure functions of a single 1-d array.
+        Pure functions of one array of shape ``(n,)`` or ``(n, k)``, with
+        ``n`` the input length, acting along axis 0: column ``j`` of the
+        output is the map applied to column ``j`` of the input.
     label : str
         Human-readable description used in error messages and logs.
     structure : str
@@ -94,17 +99,21 @@ class GridDims:
         return self.n if self.is_1d else 2 * self.n
 
     def to_grid(self, x: np.ndarray) -> np.ndarray:
-        """Reshape a stacked model vector to its (nz, nx) grid."""
-        return np.asarray(x, dtype=float).reshape((self.nz, self.nx), order="F")
+        """Reshape a stacked model vector to its (nz, nx) grid; an (n, k)
+        block keeps its trailing axis, giving (nz, nx, k)."""
+        x = np.asarray(x, dtype=float)
+        return x.reshape((self.nz, self.nx) + x.shape[1:], order="F")
 
     def to_vector(self, grid: np.ndarray) -> np.ndarray:
-        return np.asarray(grid, dtype=float).ravel(order="F")
+        """Inverse of :meth:`to_grid`: (nz, nx) to (n,), (nz, nx, k) to (n, k)."""
+        grid = np.asarray(grid, dtype=float)
+        return grid.reshape((self.n,) + grid.shape[2:], order="F")
 
 
 def _vec(x, n, label):
-    out = np.asarray(x, dtype=float).ravel()
-    if out.size != n:
-        raise ValueError(f"{label}: expected length {n}, got {out.size}")
+    out = np.asarray(x, dtype=float)
+    if out.ndim not in (1, 2) or out.shape[0] != n:
+        raise ValueError(f"{label}: expected shape ({n},) or ({n}, k), got {out.shape}")
     return out
 
 
@@ -208,37 +217,26 @@ def make_derivative_operator(kind: str, dims: GridDims) -> LinearOperator:
         tag = "first-difference" if kind == "grad" else "component-difference"
         return LinearOperator(n, n, fwd, adj, label=f"{tag}({_dims_tag(dims)})")
 
-    nz, nx = dims.nz, dims.nx
+    grid, vector = dims.to_grid, dims.to_vector
     if kind == "grad":
         def fwd(x):
-            g = dims.to_grid(_vec(x, n, "grad"))
-            return np.concatenate(
-                [_diff_cols(g).ravel(order="F"), _diff_rows(g).ravel(order="F")]
-            )
+            g = grid(_vec(x, n, "grad"))
+            return np.concatenate([vector(_diff_cols(g)), vector(_diff_rows(g))])
 
         def adj(y):
             y = _vec(y, 2 * n, "grad adjoint")
-            h = y[:n].reshape((nz, nx), order="F")
-            v = y[n:].reshape((nz, nx), order="F")
-            out = _diff_cols_adj(h) + _diff_rows_adj(v)
-            return out.ravel(order="F")
+            return vector(_diff_cols_adj(grid(y[:n])) + _diff_rows_adj(grid(y[n:])))
 
         return LinearOperator(2 * n, n, fwd, adj, label=f"first-difference({_dims_tag(dims)})")
 
     def fwd(x):
         x = _vec(x, 2 * n, "component_grad")
-        h = x[:n].reshape((nz, nx), order="F")
-        v = x[n:].reshape((nz, nx), order="F")
-        return np.concatenate(
-            [_diff_cols(h).ravel(order="F"), _diff_rows(v).ravel(order="F")]
-        )
+        return np.concatenate([vector(_diff_cols(grid(x[:n]))), vector(_diff_rows(grid(x[n:])))])
 
     def adj(y):
         y = _vec(y, 2 * n, "component_grad adjoint")
-        h = y[:n].reshape((nz, nx), order="F")
-        v = y[n:].reshape((nz, nx), order="F")
         return np.concatenate(
-            [_diff_cols_adj(h).ravel(order="F"), _diff_rows_adj(v).ravel(order="F")]
+            [vector(_diff_cols_adj(grid(y[:n]))), vector(_diff_rows_adj(grid(y[n:])))]
         )
 
     return LinearOperator(2 * n, 2 * n, fwd, adj, label=f"component-difference({_dims_tag(dims)})")
@@ -287,11 +285,12 @@ def make_subsampler(selected_rows, n: int) -> LinearOperator:
     k = rows.size
 
     def fwd(x):
-        return _vec(x, n, "subsampler")[idx].copy()
+        return _vec(x, n, "subsampler")[idx]
 
     def adj(y):
-        out = np.zeros(n)
-        out[idx] = _vec(y, k, "subsampler adjoint")
+        y = _vec(y, k, "subsampler adjoint")
+        out = np.zeros((n,) + y.shape[1:])
+        out[idx] = y
         return out
 
     return LinearOperator(k, n, fwd, adj, label=f"subsampler({k} of {n})")
@@ -303,10 +302,10 @@ def make_causal_integration(n: int) -> LinearOperator:
         raise ValueError("causal integration needs n >= 1")
 
     def fwd(x):
-        return np.cumsum(_vec(x, n, "causal integration"))
+        return np.cumsum(_vec(x, n, "causal integration"), axis=0)
 
     def adj(y):
-        return np.cumsum(_vec(y, n, "causal integration adjoint")[::-1])[::-1].copy()
+        return np.cumsum(_vec(y, n, "causal integration adjoint")[::-1], axis=0)[::-1].copy()
 
     return LinearOperator(n, n, fwd, adj, label=f"causal-integration(n={n})")
 
@@ -430,6 +429,14 @@ def compose(a: LinearOperator, b: LinearOperator, label: str | None = None) -> L
     return LinearOperator(a.rows, b.cols, fwd, adj, label=label)
 
 
+def _along(apply, block: np.ndarray, axis: int) -> np.ndarray:
+    """Apply a batched map along ``axis`` (0 or 1) of an ``(n0, n1, k)``
+    block, treating every other index as a batch column."""
+    moved = np.moveaxis(block, axis, 0)
+    out = apply(moved.reshape((moved.shape[0], -1), order="F"))
+    return np.moveaxis(out.reshape((-1,) + moved.shape[1:], order="F"), 0, axis)
+
+
 def kron_operator(outer: LinearOperator, inner: LinearOperator) -> LinearOperator:
     """Kronecker product ``outer (x) inner`` acting on column-major stacks.
 
@@ -442,40 +449,28 @@ def kron_operator(outer: LinearOperator, inner: LinearOperator) -> LinearOperato
     cols = outer.cols * inner.cols
 
     def fwd(x):
-        f = _vec(x, cols, "kron").reshape((inner.cols, outer.cols), order="F")
-        mid = np.empty((inner.rows, outer.cols))
-        for j in range(outer.cols):
-            mid[:, j] = inner.forward(f[:, j])
-        out = np.empty((inner.rows, outer.rows))
-        for i in range(inner.rows):
-            out[i, :] = outer.forward(mid[i, :])
-        return out.ravel(order="F")
+        x = _vec(x, cols, "kron")
+        f = x.reshape((inner.cols, outer.cols, -1), order="F")
+        f = _along(outer.forward, _along(inner.forward, f, 0), 1)
+        return f.reshape((rows,) + x.shape[1:], order="F")
 
     def adj(y):
-        f = _vec(y, rows, "kron adjoint").reshape((inner.rows, outer.rows), order="F")
-        mid = np.empty((inner.rows, outer.cols))
-        for i in range(inner.rows):
-            mid[i, :] = outer.adjoint(f[i, :])
-        out = np.empty((inner.cols, outer.cols))
-        for j in range(outer.cols):
-            out[:, j] = inner.adjoint(mid[:, j])
-        return out.ravel(order="F")
+        y = _vec(y, rows, "kron adjoint")
+        f = y.reshape((inner.rows, outer.rows, -1), order="F")
+        f = _along(inner.adjoint, _along(outer.adjoint, f, 1), 0)
+        return f.reshape((cols,) + y.shape[1:], order="F")
 
     return LinearOperator(rows, cols, fwd, adj, label=f"({outer.label}) kron ({inner.label})")
 
 
 def to_dense(op: LinearOperator) -> np.ndarray:
-    """Materialise an operator column by column.  Test helper only; refuses
-    operators with more than a million entries."""
-    if op.rows * op.cols > _DENSE_LIMIT:
+    """Materialise an operator as ``op.forward(I)``.  Test helper only;
+    refuses operators whose matrix or identity input has more than a
+    million entries."""
+    if op.cols * max(op.rows, op.cols) > _DENSE_LIMIT:
         raise ValueError(
             f"refusing to densify {op.label or 'operator'}: "
-            f"{op.rows}x{op.cols} exceeds {_DENSE_LIMIT} entries"
+            f"{op.rows}x{op.cols} with its {op.cols}x{op.cols} identity exceeds "
+            f"{_DENSE_LIMIT} entries"
         )
-    out = np.zeros((op.rows, op.cols))
-    basis = np.zeros(op.cols)
-    for j in range(op.cols):
-        basis[j] = 1.0
-        out[:, j] = op.forward(basis)
-        basis[j] = 0.0
-    return out
+    return op.forward(np.eye(op.cols))

@@ -401,14 +401,36 @@ def test_non_finite_inputs_raise_divergence_before_first_sweep(name):
     assert seen == []
 
 
+# finite data and budget that overflow inside a sweep, not before the first
+SWEEP_OVERFLOW = {"dix_1d_in_sweep": "experiment = dix_1d\nnoise_level = 1e148\nmax_iter = 3\n"}
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("name", sorted(NON_FINITE_NOISE))
+@pytest.mark.parametrize("name", sorted(NON_FINITE_NOISE) + sorted(SWEEP_OVERFLOW))
 def test_solve_non_finite_data_exits_2_cleanly(tmp_path, capsys, name):
-    code, _ = run_mini(tmp_path, text=NON_FINITE_NOISE[name])
+    code, _ = run_mini(tmp_path, text={**NON_FINITE_NOISE, **SWEEP_OVERFLOW}[name])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("solver diverged:")
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_in_sweep_failures_raise_divergence_naming_the_iteration(monkeypatch):
+    cfg = parse_config_text(SWEEP_OVERFLOW["dix_1d_in_sweep"])
+    _, problem = build_problems(cfg)[0]
+    with pytest.raises(DivergenceError, match="model update at iteration 1") as info:
+        admm_run(problem, admm_config_for(cfg, problem, "combined"))
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def non_finite_cubic(p, q):
+        raise ValueError("cubic coefficients must be finite")
+
+    monkeypatch.setattr("tikhtv.admm.max_real_root_depressed_cubic", non_finite_cubic)
+    cfg = parse_config_text("experiment = dix_1d\nmax_iter = 3\n")
+    _, problem = build_problems(cfg)[0]
+    with pytest.raises(DivergenceError, match="noise update at iteration 1"):
+        admm_run(problem, admm_config_for(cfg, problem, "combined"))
 
 
 def test_cli_overrides_are_validated(tmp_path, capsys):

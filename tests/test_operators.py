@@ -197,6 +197,18 @@ def test_operator_input_validation():
         op.adjoint(np.zeros(3))
     with pytest.raises(ValueError):
         make_derivative_operator("third_derivative", GridDims(4, 1))
+    # only (n,) and (n, k) are accepted; nothing of the right size is flattened
+    grad_2d = make_derivative_operator("grad", GridDims(4, 3))
+    for bad in (np.zeros((12, 2, 1)), np.zeros((4, 3)), np.zeros((3, 12))):
+        with pytest.raises(ValueError):
+            grad_2d.forward(bad)
+    with pytest.raises(ValueError):
+        grad_2d.adjoint(np.zeros((24, 1, 1)))
+    kron = kron_operator(make_subsampler([1, 3], 4), make_causal_integration(5))
+    with pytest.raises(ValueError):
+        kron.forward(np.zeros((5, 4)))
+    with pytest.raises(ValueError):
+        kron.adjoint(np.zeros((10, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +299,67 @@ def test_to_dense_guard():
     big = LinearOperator(2000, 2000, lambda x: x, lambda y: y, label="fake")
     with pytest.raises(ValueError):
         to_dense(big)
+    # a wide operator is refused for the size of the identity it would apply
+    wide = LinearOperator(1, 2000, lambda x: x[:1], lambda y: y, label="wide")
+    with pytest.raises(ValueError):
+        to_dense(wide)
+
+
+# ---------------------------------------------------------------------------
+# Batched application
+
+
+def _batch_cases():
+    d1, d2 = GridDims(9, 1), GridDims(5, 4)
+    sub_causal = kron_operator(make_subsampler([1, 3], 4), make_causal_integration(5))
+    return {
+        "identity": identity(6),
+        "grad_1d": make_derivative_operator("grad", d1),
+        "grad_2d": make_derivative_operator("grad", d2),
+        "component_grad_1d": make_derivative_operator("component_grad", d1),
+        "component_grad_2d": make_derivative_operator("component_grad", d2),
+        "second_derivative_1d": make_derivative_operator("second_derivative", d1),
+        "second_derivative_2d": make_derivative_operator("second_derivative", d2),
+        "gaussian": make_gaussian_sensing(7, 12, seed=3),
+        "subsampler": make_subsampler([1, 3, 4], 6),
+        "causal": make_causal_integration(8),
+        "radon": make_radon(GridDims(6, 5), 7, [-40.0, 15.0, 70.0]),
+        "compose": compose(make_subsampler([2, 5], 8), make_causal_integration(8)),
+        "kron": sub_causal,
+        "kron_of_kron": kron_operator(make_subsampler([2, 3], 3), sub_causal),
+    }
+
+
+# BLAS sums a matrix-matrix product in another order than a matrix-vector
+# product, so the dense sensing matrix agrees to rounding, not bitwise.
+_ROUNDED = {"gaussian"}
+
+
+@pytest.mark.parametrize("name", sorted(_batch_cases()))
+def test_batched_apply_matches_column_applies(name):
+    op = _batch_cases()[name]
+    dense = to_dense(op)
+    rng = np.random.default_rng(31)
+    k = 3
+    for apply, matrix in ((op.forward, dense), (op.adjoint, dense.T)):
+        n_out, n_in = matrix.shape
+        block = rng.standard_normal((n_in, k))
+        out = apply(block)
+        assert out.shape == (n_out, k)
+        single = np.column_stack([apply(block[:, j]) for j in range(k)])
+        if name in _ROUNDED:
+            bound = 2.0 * n_in * np.finfo(float).eps * (np.abs(matrix) @ np.abs(block))
+            assert np.all(np.abs(out - single) <= bound)
+        else:
+            assert np.array_equal(out, single)
+
+
+def test_kron_of_subsampler_and_causal_is_cumsum_then_pick():
+    idx = np.array([0, 2, 3])
+    op = kron_operator(make_subsampler(idx + 1, 4), make_causal_integration(6))
+    field = np.random.default_rng(3).standard_normal((6, 4))
+    out = op.forward(field.ravel(order="F"))
+    assert np.array_equal(out, np.cumsum(field, axis=0)[:, idx].ravel(order="F"))
 
 
 # ---------------------------------------------------------------------------
