@@ -181,7 +181,7 @@ def update_model(
     matrix is ``w2 I + w1 L`` with L the Neumann Laplacian of the grid, and
     one ``neumann_solve`` gives the exact solution with 0 CG iterations.
     Any other operator takes a CG solve warm-started at the previous model;
-    ``cfg.cg`` (tolerance, cap, warm start) acts only on that path.
+    ``cfg.cg`` (tolerance, cap) acts only on that path.
     Returns (model, cg_iterations).
     """
     if grad_op is None:
@@ -201,8 +201,7 @@ def update_model(
     def apply(v):
         return w1 * adj(fwd(v)) + w2 * a_adj(a_fwd(v))
 
-    x0 = state.model if cfg.cg.warm_start else None
-    return cg_solve(apply, rhs, x0=x0, settings=cfg.cg)
+    return cg_solve(apply, rhs, x0=state.model, settings=cfg.cg)
 
 
 def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:

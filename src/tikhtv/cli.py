@@ -11,10 +11,12 @@ determines every output byte except the wall-time field of the summary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +32,14 @@ from .admm import (
 )
 from .kernels import CgSettings, neumann_solve
 from .operators import GridDims, identity, make_derivative_operator, make_gaussian_sensing, make_radon
-from .problems import TestProblem, add_noise, make_dix_problem, make_phantom, make_test_signal
+from .problems import (
+    TestProblem,
+    add_noise,
+    make_dix_problem,
+    make_phantom,
+    make_test_signal,
+    synthetic_problem,
+)
 
 __all__ = [
     "EXPERIMENTS",
@@ -74,7 +83,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description (defaults already applied)."""
+    """Fully resolved experiment description (defaults already applied).
+
+    ``solver`` is the template of every run's solver settings: the config's
+    solver keys over the ``AdmmConfig``/``CgSettings`` defaults and the
+    experiment's defaults.  Its ``mode`` (the first of ``modes``) and its
+    zero ``noise_energy`` are placeholders that ``admm_config_for`` sets
+    per run.
+    """
 
     experiment: str
     seed: int
@@ -82,20 +98,9 @@ class ExperimentConfig:
     epsilon_scale: float
     image_format: str
     out: str | None
-    split_weight: float
-    data_weight: float
-    budget_weight: float
-    zscore_threshold: float
-    initial_balance: float
-    balance_policy: str
-    max_iter: int
-    rel_change_tol: float
-    run_to_max_iter: bool
-    cg_rel_tol: float
-    cg_max_iter: int
-    cg_warm_start: bool
     noise_level: float
     noise_reference: str
+    solver: AdmmConfig
     n: int | None = None
     m_rows: int | None = None
     signal: str | None = None
@@ -159,26 +164,25 @@ def _parse_float(raw: str) -> float:
     return value
 
 
+# The solver keys are the AdmmConfig fields that a config sets once for all
+# runs, plus cg_<name> for each CgSettings field; each is parsed by its type.
+_SOLVER_KEYS = {
+    name: kind
+    for name, kind in typing.get_type_hints(AdmmConfig).items()
+    if name not in ("noise_energy", "mode", "cg")
+}
+_CG_KEYS = {f"cg_{name}": kind for name, kind in typing.get_type_hints(CgSettings).items()}
+_TYPE_PARSERS = {float: _parse_float, int: _parse_int, bool: _parse_bool, str: str}
+
 # key -> (parser, applicable experiments or None for all)
 _SCHEMA = {
+    **{key: (_TYPE_PARSERS[kind], None) for key, kind in {**_SOLVER_KEYS, **_CG_KEYS}.items()},
     "experiment": (lambda raw: _parse_choice(raw, EXPERIMENTS), None),
     "seed": (_parse_int, None),
     "modes": (_parse_modes, None),
     "epsilon_scale": (_parse_float, None),
     "image_format": (lambda raw: _parse_choice(raw, ("pgm16", "csv")), None),
     "out": (str, None),
-    "split_weight": (_parse_float, None),
-    "data_weight": (_parse_float, None),
-    "budget_weight": (_parse_float, None),
-    "zscore_threshold": (_parse_float, None),
-    "initial_balance": (_parse_float, None),
-    "balance_policy": (lambda raw: _parse_choice(raw, ("adaptive", "fixed")), None),
-    "max_iter": (_parse_int, None),
-    "rel_change_tol": (_parse_float, None),
-    "run_to_max_iter": (_parse_bool, None),
-    "cg_rel_tol": (_parse_float, None),
-    "cg_max_iter": (_parse_int, None),
-    "cg_warm_start": (_parse_bool, None),
     "noise_level": (_parse_float, None),
     "noise_reference": (lambda raw: _parse_choice(raw, ("data_norm", "model_norm")), None),
     "n": (_parse_int, ("cs_1d", "dix_1d")),
@@ -202,26 +206,18 @@ _SCHEMA = {
     ),
 }
 
+# the solver keys default to the AdmmConfig/CgSettings defaults
 _GLOBAL_DEFAULTS = dict(
     seed=0,
     modes=("combined",),
     epsilon_scale=1.0,
     image_format="pgm16",
     out=None,
-    split_weight=10.0,
-    data_weight=1.0,
-    budget_weight=1.0,
-    zscore_threshold=2.5,
-    initial_balance=1.0,
-    balance_policy="adaptive",
-    rel_change_tol=1e-4,
-    cg_rel_tol=1e-7,
-    cg_max_iter=100,
-    cg_warm_start=True,
     noise_reference="data_norm",
     angle_endpoint="auto",
 )
 
+# per-experiment values, solver keys included, over the global defaults
 _EXPERIMENT_DEFAULTS = {
     # budget_weight raised from the global default: with a tiny noise budget
     # the constraint multiplier climbs too slowly at unit weight and the
@@ -286,9 +282,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: missing required key 'experiment'")
     experiment = _parse_choice(raw.pop("experiment"), EXPERIMENTS)
 
-    values: dict = dict(experiment=experiment)
-    values.update(_GLOBAL_DEFAULTS)
-    values.update(_EXPERIMENT_DEFAULTS[experiment])
+    values = {"experiment": experiment, **_GLOBAL_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
     for key, raw_value in raw.items():
         parser, applicable = _SCHEMA[key]
         if applicable is not None and experiment not in applicable:
@@ -298,7 +292,11 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         except ConfigError as exc:
             raise ConfigError(f"{source}: key {key!r}: {exc}") from None
 
-    cfg = ExperimentConfig(**values)
+    cg = {key[len("cg_"):]: values.pop(key) for key in _CG_KEYS if key in values}
+    solver = {key: values.pop(key) for key in _SOLVER_KEYS if key in values}
+    with _solver_errors():
+        template = AdmmConfig(noise_energy=0.0, mode=values["modes"][0], cg=CgSettings(**cg), **solver)
+    cfg = ExperimentConfig(solver=template, **values)
     _validate_config(cfg)
     return cfg
 
@@ -310,6 +308,16 @@ def parse_config_file(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
+
+
+@contextlib.contextmanager
+def _solver_errors():
+    """Report the solver settings' own checks (``__post_init__``) as
+    ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
@@ -330,10 +338,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("angles must satisfy -90 <= angle_min < angle_max <= 90")
     # the solver settings are checked where they are defined
     for mode in cfg.modes:
-        try:
-            _solver_config(cfg, mode, noise_energy=0.0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        with _solver_errors():
+            dataclasses.replace(cfg.solver, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -345,107 +351,48 @@ def build_problems(cfg: ExperimentConfig) -> list[tuple[str | None, TestProblem]
 
     Returns (sublabel, problem) pairs; the sublabel becomes an output
     subdirectory when an experiment contains several runs (the four cs_1d
-    signals).
+    signals).  Problem ``i`` gets its noise from seed ``seed + 101 + i``.
     """
     seed = cfg.seed
     if cfg.experiment == "cs_1d":
         operator = make_gaussian_sensing(cfg.m_rows, cfg.n, seed)
         kinds = SIGNAL_KINDS if cfg.signal == "all" else (cfg.signal,)
-        out = []
-        for i, kind in enumerate(kinds):
+        clean = []
+        for kind in kinds:
             truth = make_test_signal(kind, cfg.n)
-            problem = TestProblem(
-                operator=operator,
-                data=operator.forward(truth),
-                true_model=truth,
-                true_noise=None,
-                noise_energy=0.0,
-                dims=GridDims(cfg.n, 1),
-                seed=seed,
-                label=f"cs_1d[{kind}]",
-            )
-            problem = add_noise(problem, cfg.noise_level, cfg.noise_reference, seed + 101 + i)
-            out.append((kind if len(kinds) > 1 else None, problem))
-        return out
-
-    if cfg.experiment in ("denoise_2d", "decompose_2d"):
+            problem = synthetic_problem(operator, truth, GridDims(cfg.n, 1), seed, f"cs_1d[{kind}]")
+            clean.append((kind if len(kinds) > 1 else None, problem))
+    elif cfg.experiment in ("denoise_2d", "decompose_2d"):
         dims = GridDims(cfg.nz, cfg.nx)
         truth = make_phantom(cfg.phantom, dims)
-        operator = identity(dims.n)
-        problem = TestProblem(
-            operator=operator,
-            data=truth.copy(),
-            true_model=truth,
-            true_noise=None,
-            noise_energy=0.0,
-            dims=dims,
-            seed=seed,
-            label=cfg.experiment,
-        )
-        problem = add_noise(problem, cfg.noise_level, cfg.noise_reference, seed + 101)
-        return [(None, problem)]
-
-    if cfg.experiment == "dix_1d":
+        clean = [(None, synthetic_problem(identity(dims.n), truth, dims, seed, cfg.experiment))]
+    elif cfg.experiment == "dix_1d":
         velocity = 2.2 + 0.6 * make_test_signal("mixed", cfg.n)
-        problem = make_dix_problem(velocity, pick_fraction=cfg.pick_fraction, seed=seed)
-        problem = add_noise(problem, cfg.noise_level, cfg.noise_reference, seed + 101)
-        return [(None, problem)]
-
-    if cfg.experiment == "dix_2d":
+        clean = [(None, make_dix_problem(velocity, pick_fraction=cfg.pick_fraction, seed=seed))]
+    elif cfg.experiment == "dix_2d":
         dims = GridDims(cfg.nz, cfg.nx)
         velocity = 1.5 + 2.8 * dims.to_grid(make_phantom("piecewise_smooth_2d", dims))
-        problem = make_dix_problem(velocity, pick_fraction=cfg.trace_fraction, seed=seed)
-        problem = add_noise(problem, cfg.noise_level, cfg.noise_reference, seed + 101)
-        return [(None, problem)]
-
-    # xray_full / xray_limited
-    dims = GridDims(cfg.nz, cfg.nx)
-    truth = make_phantom(cfg.phantom, dims)
-    if cfg.angle_endpoint == "auto":
-        endpoint = (cfg.angle_max - cfg.angle_min) < 180.0
-    else:
-        endpoint = cfg.angle_endpoint == "true"
-    angles = np.linspace(cfg.angle_min, cfg.angle_max, cfg.n_angles, endpoint=endpoint)
-    operator = make_radon(dims, cfg.n_rays, angles)
-    problem = TestProblem(
-        operator=operator,
-        data=operator.forward(truth),
-        true_model=truth,
-        true_noise=None,
-        noise_energy=0.0,
-        dims=dims,
-        seed=seed,
-        label=cfg.experiment,
-    )
-    problem = add_noise(problem, cfg.noise_level, cfg.noise_reference, seed + 101)
-    return [(None, problem)]
+        clean = [(None, make_dix_problem(velocity, pick_fraction=cfg.trace_fraction, seed=seed))]
+    else:  # xray_full / xray_limited
+        dims = GridDims(cfg.nz, cfg.nx)
+        truth = make_phantom(cfg.phantom, dims)
+        if cfg.angle_endpoint == "auto":
+            endpoint = (cfg.angle_max - cfg.angle_min) < 180.0
+        else:
+            endpoint = cfg.angle_endpoint == "true"
+        angles = np.linspace(cfg.angle_min, cfg.angle_max, cfg.n_angles, endpoint=endpoint)
+        operator = make_radon(dims, cfg.n_rays, angles)
+        clean = [(None, synthetic_problem(operator, truth, dims, seed, cfg.experiment))]
+    return [
+        (sublabel, add_noise(problem, cfg.noise_level, cfg.noise_reference, seed + 101 + i))
+        for i, (sublabel, problem) in enumerate(clean)
+    ]
 
 
 def admm_config_for(cfg: ExperimentConfig, problem: TestProblem, mode: str) -> AdmmConfig:
-    """The per-mode solver configuration, with the noise budget scaled by
-    ``epsilon_scale``."""
-    return _solver_config(cfg, mode, cfg.epsilon_scale * problem.noise_energy)
-
-
-def _solver_config(cfg: ExperimentConfig, mode: str, noise_energy: float) -> AdmmConfig:
-    return AdmmConfig(
-        noise_energy=noise_energy,
-        split_weight=cfg.split_weight,
-        data_weight=cfg.data_weight,
-        budget_weight=cfg.budget_weight,
-        zscore_threshold=cfg.zscore_threshold,
-        initial_balance=cfg.initial_balance,
-        max_iter=cfg.max_iter,
-        rel_change_tol=cfg.rel_change_tol,
-        mode=mode,
-        balance_policy=cfg.balance_policy,
-        run_to_max_iter=cfg.run_to_max_iter,
-        cg=CgSettings(
-            rel_tol=cfg.cg_rel_tol,
-            max_iter=cfg.cg_max_iter,
-            warm_start=cfg.cg_warm_start,
-        ),
-    )
+    """The solver settings of one run: the template ``cfg.solver`` in
+    ``mode``, with the problem's noise budget scaled by ``epsilon_scale``."""
+    return dataclasses.replace(cfg.solver, mode=mode, noise_energy=cfg.epsilon_scale * problem.noise_energy)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +611,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.max_iter is not None:
-            overrides["max_iter"] = args.max_iter
+            with _solver_errors():
+                overrides["solver"] = dataclasses.replace(cfg.solver, max_iter=args.max_iter)
         if args.mode:
             overrides["modes"] = tuple(dict.fromkeys(args.mode))
         if overrides:

@@ -26,7 +26,6 @@ class CgSettings:
 
     rel_tol: float = 1e-7
     max_iter: int = 100
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.rel_tol < 0.0:
@@ -46,44 +45,46 @@ def cg_solve(
     Returns ``(x, iterations)`` where x satisfies
     ``||apply_a(x) - b|| <= rel_tol * ||b||`` or is the iterate after
     ``max_iter`` steps.  Raises ``FloatingPointError`` if the iteration
-    produces non-finite values.
+    produces non-finite values; numpy's overflow warnings are silenced,
+    since that check reports them.
     """
-    b = np.asarray(b, dtype=float).ravel()
-    target = settings.rel_tol * float(np.linalg.norm(b))
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float).ravel().copy()
-        if x.size != b.size:
-            raise ValueError(f"x0 has length {x.size}, expected {b.size}")
-        r = b - apply_a(x)
-    if not np.all(np.isfinite(r)):
-        raise FloatingPointError("cg_solve: non-finite initial residual")
-    rs = float(r @ r)
-    if np.sqrt(rs) <= target:
-        return x, 0
-    p = r.copy()
-    for k in range(1, settings.max_iter + 1):
-        ap = apply_a(p)
-        denom = float(p @ ap)
-        if not np.isfinite(denom):
-            raise FloatingPointError("cg_solve: non-finite curvature")
-        if denom <= 0.0:
-            # direction with no curvature; the system is only semi-definite
-            # and the current iterate is the best this subspace offers
-            return x, k - 1
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        rs_next = float(r @ r)
-        if not np.isfinite(rs_next):
-            raise FloatingPointError("cg_solve: non-finite residual")
-        if np.sqrt(rs_next) <= target:
-            return x, k
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-    return x, settings.max_iter
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.asarray(b, dtype=float).ravel()
+        target = settings.rel_tol * float(np.linalg.norm(b))
+        if x0 is None:
+            x = np.zeros_like(b)
+            r = b.copy()
+        else:
+            x = np.array(x0, dtype=float).ravel().copy()
+            if x.size != b.size:
+                raise ValueError(f"x0 has length {x.size}, expected {b.size}")
+            r = b - apply_a(x)
+        if not np.all(np.isfinite(r)):
+            raise FloatingPointError("cg_solve: non-finite initial residual")
+        rs = float(r @ r)
+        if np.sqrt(rs) <= target:
+            return x, 0
+        p = r.copy()
+        for k in range(1, settings.max_iter + 1):
+            ap = apply_a(p)
+            denom = float(p @ ap)
+            if not np.isfinite(denom):
+                raise FloatingPointError("cg_solve: non-finite curvature")
+            if denom <= 0.0:
+                # direction with no curvature; the system is only semi-definite
+                # and the current iterate is the best this subspace offers
+                return x, k - 1
+            alpha = rs / denom
+            x += alpha * p
+            r -= alpha * ap
+            rs_next = float(r @ r)
+            if not np.isfinite(rs_next):
+                raise FloatingPointError("cg_solve: non-finite residual")
+            if np.sqrt(rs_next) <= target:
+                return x, k
+            p = r + (rs_next / rs) * p
+            rs = rs_next
+        return x, settings.max_iter
 
 
 def neumann_solve(rhs, shift: float, weight: float, axes) -> np.ndarray:

@@ -22,6 +22,7 @@ from .operators import (
 
 __all__ = [
     "TestProblem",
+    "synthetic_problem",
     "make_test_signal",
     "make_phantom",
     "make_dix_problem",
@@ -47,6 +48,21 @@ class TestProblem:
     dims: GridDims
     seed: int
     label: str
+
+
+def synthetic_problem(operator: LinearOperator, truth, dims: GridDims, seed: int, label: str) -> TestProblem:
+    """Noiseless problem with data ``operator.forward(truth)``; ``add_noise``
+    turns it into a noisy one."""
+    return TestProblem(
+        operator=operator,
+        data=operator.forward(truth),
+        true_model=truth,
+        true_noise=None,
+        noise_energy=0.0,
+        dims=dims,
+        seed=seed,
+        label=label,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +243,7 @@ def make_dix_problem(interval_velocity, pick_fraction=None, pick_indices=None, s
     else:
         raise ValueError("interval_velocity must be 1-d or 2-d")
 
-    data = operator.forward(model)
-    return TestProblem(
-        operator=operator,
-        data=data,
-        true_model=model,
-        true_noise=None,
-        noise_energy=0.0,
-        dims=dims,
-        seed=seed,
-        label=f"dix_{v.ndim}d",
-    )
+    return synthetic_problem(operator, model, dims, seed, f"dix_{v.ndim}d")
 
 
 def _resolve_picks(n, pick_fraction, pick_indices, seed):

@@ -1,7 +1,12 @@
+import dataclasses
+import types
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tikhtv.admm import DivergenceError, IterationRecord, admm_run
+from tikhtv.admm import AdmmConfig, DivergenceError, IterationRecord, admm_run
 from tikhtv.cli import (
     HISTORY_HEADER,
     ConfigError,
@@ -15,6 +20,7 @@ from tikhtv.cli import (
     write_history_csv,
     write_image,
 )
+from tikhtv.kernels import CgSettings
 from tikhtv.operators import GridDims, make_derivative_operator
 
 
@@ -52,7 +58,7 @@ def test_parse_comments_blanks_and_overrides():
     assert cfg.signal == "mixed"
     assert cfg.modes == ("combined", "tv_only")
     assert cfg.epsilon_scale == 1.05
-    assert cfg.run_to_max_iter is False
+    assert cfg.solver.run_to_max_iter is False
 
 
 def test_parse_rejects_unknown_key():
@@ -125,8 +131,80 @@ def test_epsilon_scale_scales_solver_budget():
     _, problem = build_problems(cfg)[0]
     solver_cfg = admm_config_for(cfg, problem, "combined")
     assert solver_cfg.noise_energy == pytest.approx(1.1 * problem.noise_energy, rel=1e-12)
-    assert solver_cfg.budget_weight == cfg.budget_weight
-    assert solver_cfg.cg.rel_tol == cfg.cg_rel_tol
+    assert solver_cfg.budget_weight == cfg.solver.budget_weight
+    assert solver_cfg.cg.rel_tol == cfg.solver.cg.rel_tol
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# (budget_weight, max_iter, run_to_max_iter) of each shipped experiment
+PINNED_PER_EXPERIMENT = {
+    "cs_1d": (300.0, 3000, True),
+    "decompose_2d": (1.0, 300, False),
+    "denoise_2d": (1.0, 500, True),
+    "dix_1d": (1.0, 300, True),
+    "dix_2d": (1.0, 200, False),
+    "xray_full": (1.0, 500, False),
+    "xray_limited": (1.0, 600, True),
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_configs_resolve_to_pinned_solver_settings(path):
+    cfg = parse_config_file(path)
+    budget_weight, max_iter, run_to_max_iter = PINNED_PER_EXPERIMENT[cfg.experiment]
+    # admm_config_for reads only the problem's noise energy
+    problem = types.SimpleNamespace(noise_energy=0.25)
+    for mode in cfg.modes:
+        resolved = dataclasses.asdict(admm_config_for(cfg, problem, mode))
+        assert resolved == {
+            "noise_energy": 0.25,
+            "split_weight": 10.0,
+            "data_weight": 1.0,
+            "budget_weight": budget_weight,
+            "zscore_threshold": 2.5,
+            "initial_balance": 1.0,
+            "max_iter": max_iter,
+            "rel_change_tol": 1e-4,
+            "mode": mode,
+            "balance_policy": "adaptive",
+            "run_to_max_iter": run_to_max_iter,
+            "cg": {"rel_tol": 1e-7, "max_iter": 100},
+        }
+
+
+# every solver key: (config text, the value it must resolve to), none a default
+EVERY_SOLVER_KEY = {
+    "split_weight": ("12.5", 12.5),
+    "data_weight": ("2.5", 2.5),
+    "budget_weight": ("7", 7.0),
+    "zscore_threshold": ("3.25", 3.25),
+    "initial_balance": ("0.5", 0.5),
+    "max_iter": ("17", 17),
+    "rel_change_tol": ("1e-3", 1e-3),
+    "balance_policy": ("fixed", "fixed"),
+    "run_to_max_iter": ("yes", True),
+    "cg_rel_tol": ("1e-5", 1e-5),
+    "cg_max_iter": ("42", 42),
+}
+
+
+def test_every_solver_key_round_trips():
+    keys = {f.name for f in dataclasses.fields(AdmmConfig)} - {"noise_energy", "mode", "cg"}
+    keys |= {f"cg_{f.name}" for f in dataclasses.fields(CgSettings)}
+    assert set(EVERY_SOLVER_KEY) == keys
+    text = "experiment = dix_2d\n" + "".join(f"{key} = {raw}\n" for key, (raw, _) in EVERY_SOLVER_KEY.items())
+    cfg = parse_config_text(text)
+    resolved = admm_config_for(cfg, types.SimpleNamespace(noise_energy=0.25), "combined")
+    defaults = AdmmConfig(noise_energy=0.0)
+    for key, (_, expected) in EVERY_SOLVER_KEY.items():
+        if key.startswith("cg_"):
+            value, default = getattr(resolved.cg, key[3:]), getattr(defaults.cg, key[3:])
+        else:
+            value, default = getattr(resolved, key), getattr(defaults, key)
+        assert value == expected, key
+        assert type(value) is type(expected), key
+        assert default != expected, key
 
 
 def test_build_problems_sublabels():
@@ -372,7 +450,17 @@ def test_solve_env_output_root(tmp_path, monkeypatch):
     assert (tmp_path / "envroot" / "cs_1d" / "combined" / "history.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["noise_level = nan", "split_weight = 0.5", "cg_max_iter = 0"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "noise_level = nan",
+        "split_weight = 0.5",
+        "cg_max_iter = 0",
+        "balance_policy = nope",
+        "zscore_threshold = 0",
+        "cg_rel_tol = -1",
+    ],
+)
 def test_solve_rejects_bad_solver_settings_cleanly(tmp_path, capsys, line):
     code, out = run_mini(tmp_path, text=f"experiment = dix_1d\nmax_iter = 3\n{line}\n")
     err = capsys.readouterr().err
@@ -413,6 +501,17 @@ def test_solve_non_finite_data_exits_2_cleanly(tmp_path, capsys, name):
     assert code == 2
     assert err.startswith("solver diverged:")
     assert "Traceback" not in err
+
+
+def test_solve_in_sweep_overflow_writes_only_the_divergence_line(tmp_path, capsys):
+    # any numpy warning on the way would raise here and end in a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_mini(tmp_path, text=SWEEP_OVERFLOW["dix_1d_in_sweep"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("solver diverged:")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
