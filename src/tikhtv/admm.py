@@ -33,6 +33,7 @@ __all__ = [
     "IterationRecord",
     "DivergenceError",
     "initial_state",
+    "model_solver",
     "update_model",
     "update_sparse_grad",
     "update_smooth_grad",
@@ -131,7 +132,9 @@ class IterationRecord:
     ``||noise||^2 - noise_energy``.  ``balance`` is the value after this
     iteration's update and ``balance_residual`` the robust-statistics
     residual it was computed from.  ``rel_error`` is None when the problem
-    carries no ground truth.
+    carries no ground truth.  ``cg_iters`` counts the model update's CG
+    iterations; it is 0 where that update is an exact solve (A = I, dense
+    sensing).
     """
 
     iteration: int
@@ -167,41 +170,122 @@ def initial_state(problem: TestProblem, cfg: AdmmConfig) -> AdmmState:
 # the same sweep, matching the sweep order in admm_run.
 
 
+ModelSolver = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int]]
+
+# Columns of A' pushed through the Neumann kernel at once in the Woodbury
+# set-up.  On cs_1d (n = 1024) the set-up holds 3.1 MB; 32 columns at a
+# time peak 0.3 MB above that, 64 at 1.6 MB, all 251 at 9.3 MB.
+_WOODBURY_BLOCK = 32
+
+
+def model_solver(problem: TestProblem, cfg: AdmmConfig, grad_op: LinearOperator) -> ModelSolver:
+    """The solve of the model update's matrix ``w1 D'D + w2 A'A``, chosen
+    once per run from ``problem.operator.structure``.
+
+    Returns ``solve(rhs, x0) -> (model, inner_iterations)``:
+
+    - ``"identity"`` (A = I): the matrix is ``w2 I + w1 L`` with L the
+      Neumann Laplacian of the grid; one ``neumann_solve``, 0 iterations.
+    - ``"dense"`` (few rows): an exact Woodbury solve, see
+      :func:`_woodbury_solver`; 0 iterations.
+    - anything else: CG under ``cfg.cg``, warm-started at ``x0``.
+    """
+    op, dims = problem.operator, problem.dims
+    w1, w2 = cfg.split_weight, cfg.data_weight
+
+    if op.structure == "identity":
+        axes = (0,) if dims.is_1d else (0, 1)
+
+        def solve_identity(rhs, x0):
+            return dims.to_vector(neumann_solve(dims.to_grid(rhs), w2, w1, axes)), 0
+
+        return solve_identity
+
+    if op.structure == "dense":
+        return _woodbury_solver(op, dims, w1, w2)
+
+    fwd, adj = grad_op.forward, grad_op.adjoint
+
+    def apply(v):
+        return w1 * adj(fwd(v)) + w2 * op.adjoint(op.forward(v))
+
+    def solve_cg(rhs, x0):
+        return cg_solve(apply, rhs, x0=x0, settings=cfg.cg)
+
+    return solve_cg
+
+
+def _woodbury_solver(op: LinearOperator, dims: GridDims, w1: float, w2: float) -> ModelSolver:
+    """Exact solve of ``(w1 L + w2 A'A) m = rhs`` for an A with few rows.
+
+    With ``B = w1 L + eps 11'/n`` (``eps = w1``), which one
+    ``neumann_solve`` plus a mean term inverts, the matrix is
+    ``B + U S U'`` for ``U = [A', 1/sqrt(n)]`` and ``S = diag(w2 I, -eps)``.
+    The Woodbury identity (Hager 1989) gives
+
+        m = B^-1 rhs - (B^-1 U) C^-1 (B^-1 U)' rhs,  C = S^-1 + U' B^-1 U,
+
+    with ``B^-1 U`` (n x (m+1)) and ``inv(C)`` built once.  ``C`` is
+    indefinite and ill-conditioned (cond 2.7e6 on cs_1d), so each small
+    solve with ``inv(C)`` is refined once against ``C``: on cs_1d that reads
+    1e-11 against a dense solve, ``inv(C)`` alone 1e-9.  numpy.linalg only:
+    importing scipy.linalg costs about 8 MB of RSS.
+    """
+    n, m = dims.n, op.rows
+    eps = w1
+    axes = (0,) if dims.is_1d else (0, 1)
+
+    def b_inv(x):
+        return dims.to_vector(neumann_solve(dims.to_grid(x), 0.0, w1, axes)) + x.mean(axis=0) / eps
+
+    # B^-1 U, one block of A' columns at a time so that A' is never held whole
+    bu = np.empty((n, m + 1))
+    for start in range(0, m, _WOODBURY_BLOCK):
+        width = min(_WOODBURY_BLOCK, m - start)
+        bu[:, start : start + width] = b_inv(op.adjoint(np.eye(m, width, -start)))
+    bu[:, m] = 1.0 / (np.sqrt(n) * eps)  # B maps constants to eps times themselves
+
+    capacitance = np.empty((m + 1, m + 1))
+    capacitance[:m] = op.forward(bu)
+    capacitance[m] = bu.sum(axis=0) / np.sqrt(n)
+    capacitance[np.arange(m), np.arange(m)] += 1.0 / w2
+    capacitance[m, m] -= 1.0 / eps
+    c_inv = np.linalg.inv(capacitance)
+
+    def solve_woodbury(rhs, x0):
+        y = bu.T @ rhs
+        z = c_inv @ y
+        z += c_inv @ (y - capacitance @ z)
+        return b_inv(rhs) - bu @ z, 0
+
+    return solve_woodbury
+
+
 def update_model(
     state: AdmmState,
     problem: TestProblem,
     cfg: AdmmConfig,
     grad_op: LinearOperator | None = None,
+    solve: ModelSolver | None = None,
 ) -> tuple[np.ndarray, int]:
     """Model update: solve of the normal equations
 
         (w1 D'D + w2 A'A) m = w1 D'(g1 + g2 + y1) + w2 A'(d - e + y2).
 
-    When the operator is marked ``structure == "identity"`` (A = I) the
-    matrix is ``w2 I + w1 L`` with L the Neumann Laplacian of the grid, and
-    one ``neumann_solve`` gives the exact solution with 0 CG iterations.
-    Any other operator takes a CG solve warm-started at the previous model;
-    ``cfg.cg`` (tolerance, cap) acts only on that path.
-    Returns (model, cg_iterations).
+    ``solve`` is the run's :func:`model_solver`; without one, one is built
+    here (with its set-up).  A = I and dense sensing are solved exactly with
+    0 inner iterations; any other operator takes a CG solve warm-started at
+    the previous model, and ``cfg.cg`` (tolerance, cap) acts only there.
+    Returns (model, inner_iterations).
     """
     if grad_op is None:
         grad_op = make_derivative_operator("grad", problem.dims)
+    if solve is None:
+        solve = model_solver(problem, cfg, grad_op)
     w1, w2 = cfg.split_weight, cfg.data_weight
-    fwd, adj = grad_op.forward, grad_op.adjoint
-    a_fwd, a_adj = problem.operator.forward, problem.operator.adjoint
-
-    rhs = w1 * adj(state.sparse_grad + state.smooth_grad + state.dual_split)
-    rhs += w2 * a_adj(problem.data - state.noise + state.dual_data)
-
-    if problem.operator.structure == "identity":
-        dims = problem.dims
-        axes = (0,) if dims.is_1d else (0, 1)
-        return dims.to_vector(neumann_solve(dims.to_grid(rhs), w2, w1, axes)), 0
-
-    def apply(v):
-        return w1 * adj(fwd(v)) + w2 * a_adj(a_fwd(v))
-
-    return cg_solve(apply, rhs, x0=state.model, settings=cfg.cg)
+    rhs = w1 * grad_op.adjoint(state.sparse_grad + state.smooth_grad + state.dual_split)
+    rhs += w2 * problem.operator.adjoint(problem.data - state.noise + state.dual_data)
+    return solve(rhs, state.model)
 
 
 def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
@@ -295,6 +379,7 @@ def admm_run(
 
     dims = problem.dims
     grad_op = make_derivative_operator("grad", dims)
+    solve = model_solver(problem, cfg, grad_op)
     state = initial_state(problem, cfg)
     history: list[IterationRecord] = []
     truth_norm = None
@@ -305,7 +390,7 @@ def admm_run(
     prev_model = state.model.copy()
     for k in range(1, cfg.max_iter + 1):
         try:
-            state.model, cg_iters = update_model(state, problem, cfg, grad_op)
+            state.model, cg_iters = update_model(state, problem, cfg, grad_op, solve)
         except FloatingPointError as exc:
             raise DivergenceError(f"model update at iteration {k}: {exc}") from exc
         grad_model = grad_op.forward(state.model)

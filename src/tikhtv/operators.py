@@ -56,7 +56,9 @@ class LinearOperator:
         Human-readable description used in error messages and logs.
     structure : str
         Optional hint for solvers that can exploit the matrix: ``"identity"``
-        marks A = I.  Empty means no known structure.
+        marks A = I; ``"dense"`` marks a matrix with few rows, for which the
+        model update affords a set-up of ``rows + 1`` solves (a Woodbury
+        form).  Empty means no known structure.
     """
 
     rows: int
@@ -265,7 +267,7 @@ def make_gaussian_sensing(m: int, n: int, seed: int) -> LinearOperator:
     def adj(y):
         return mat.T @ _vec(y, m, "gaussian sensing adjoint")
 
-    return LinearOperator(m, n, fwd, adj, label=f"gaussian-sensing({m}x{n}, seed={seed})")
+    return LinearOperator(m, n, fwd, adj, label=f"gaussian-sensing({m}x{n}, seed={seed})", structure="dense")
 
 
 def make_subsampler(selected_rows, n: int) -> LinearOperator:

@@ -269,6 +269,8 @@ def add_noise(problem: TestProblem, level: float, reference: str = "data_norm", 
     The noise norm is ``level`` times the norm of the clean data
     (``reference="data_norm"``) or of the true model (``"model_norm"``);
     the stored ``noise_energy`` is the squared norm of the realised noise.
+    A problem without ``true_noise`` is taken as noiseless, its data as the
+    clean data; a noisy one is re-noised from ``operator.forward(true_model)``.
     """
     if problem.true_model is None:
         raise ValueError("add_noise needs a problem with a true model")
@@ -277,7 +279,7 @@ def add_noise(problem: TestProblem, level: float, reference: str = "data_norm", 
     if reference not in ("data_norm", "model_norm"):
         raise ValueError(f"unknown noise reference: {reference!r}")
 
-    clean = problem.operator.forward(problem.true_model)
+    clean = problem.data if problem.true_noise is None else problem.operator.forward(problem.true_model)
     if level == 0.0:
         noise = np.zeros_like(clean)
     else:

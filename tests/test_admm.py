@@ -19,7 +19,16 @@ from tikhtv.admm import (
 )
 from tikhtv.cli import admm_config_for, build_problems, parse_config_text
 from tikhtv.kernels import CgSettings
-from tikhtv.operators import GridDims, identity, make_derivative_operator, make_gaussian_sensing, to_dense
+from tikhtv.operators import (
+    GridDims,
+    compose,
+    identity,
+    make_causal_integration,
+    make_derivative_operator,
+    make_gaussian_sensing,
+    make_subsampler,
+    to_dense,
+)
 from tikhtv.problems import TestProblem, add_noise, make_phantom, make_test_signal
 
 
@@ -120,37 +129,107 @@ def test_soft_threshold_examples():
     assert not soft_threshold(np.array([0.3, -0.2]), 0.5).any()
 
 
-def test_update_model_matches_dense_normal_equations():
-    n, m = 8, 6
-    rng = np.random.default_rng(17)
-    op = make_gaussian_sensing(m, n, seed=17)
-    truth = rng.standard_normal(n)
+def dense_model_update(problem, state, cfg):
+    """The model update by ``np.linalg.solve`` of the dense normal equations."""
+    n = problem.dims.n
+    D = make_derivative_operator("grad", problem.dims).forward(np.eye(n))
+    G = problem.operator.forward(np.eye(n))
+    w1, w2 = cfg.split_weight, cfg.data_weight
+    rhs = w1 * D.T @ (state.sparse_grad + state.smooth_grad + state.dual_split)
+    rhs += w2 * G.T @ (problem.data - state.noise + state.dual_data)
+    return np.linalg.solve(w1 * D.T @ D + w2 * G.T @ G, rhs)
+
+
+def operator_problem_and_state(op, dims, cfg_kwargs=None, seed=17):
+    truth = np.random.default_rng(seed).standard_normal(dims.n)
     problem = TestProblem(
         operator=op,
         data=op.forward(truth),
         true_model=truth,
         true_noise=None,
         noise_energy=0.5,
-        dims=GridDims(n, 1),
-        seed=17,
+        dims=dims,
+        seed=seed,
         label="dense-oracle",
     )
-    cfg = AdmmConfig(
-        noise_energy=problem.noise_energy,
-        cg=CgSettings(rel_tol=1e-13, max_iter=500),
-    )
-    state = random_state(problem, cfg)
-    grad_op = make_derivative_operator("grad", problem.dims)
-    D = to_dense(grad_op)
-    G = to_dense(problem.operator)
-    w1, w2 = cfg.split_weight, cfg.data_weight
-    H = w1 * D.T @ D + w2 * G.T @ G
-    rhs = w1 * D.T @ (state.sparse_grad + state.smooth_grad + state.dual_split)
-    rhs += w2 * G.T @ (problem.data - state.noise + state.dual_data)
-    expected = np.linalg.solve(H, rhs)
+    cfg = AdmmConfig(noise_energy=problem.noise_energy, **(cfg_kwargs or {}))
+    return problem, cfg, random_state(problem, cfg)
+
+
+def test_update_model_matches_dense_normal_equations():
+    # Gaussian sensing takes the exact Woodbury path
+    problem, cfg, state = operator_problem_and_state(make_gaussian_sensing(6, 8, seed=17), GridDims(8, 1))
+    expected = dense_model_update(problem, state, cfg)
+    model, iters = update_model(state, problem, cfg)
+    assert iters == 0
+    assert np.linalg.norm(model - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def test_update_model_cg_path_matches_dense_normal_equations():
+    # a dix_1d-style operator has no structure hint and keeps the CG
+    n = 8
+    op = compose(make_subsampler([2, 3, 5, 8], n), make_causal_integration(n))
+    problem, cfg, state = operator_problem_and_state(
+        op, GridDims(n, 1), {"cg": CgSettings(rel_tol=1e-13, max_iter=500)})
+    expected = dense_model_update(problem, state, cfg)
     model, cg_iters = update_model(state, problem, cfg)
     assert cg_iters >= 1
     assert np.linalg.norm(model - expected) <= 1e-6 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize(
+    "m, dims, weights",
+    [
+        (250, GridDims(1024, 1), {}),
+        (1, GridDims(5, 1), {}),
+        (12, GridDims(8, 1), {}),
+        (6, GridDims(8, 1), {"split_weight": 3.0, "data_weight": 0.25}),
+        (20, GridDims(5, 6), {"split_weight": 40.0, "data_weight": 2.0}),
+    ],
+    ids=["250x1024", "1x5", "12x8-overdetermined", "6x8-weights", "20x30-grid"],
+)
+def test_woodbury_update_matches_dense_oracle(m, dims, weights):
+    problem, cfg, state = operator_problem_and_state(make_gaussian_sensing(m, dims.n, seed=m), dims, weights)
+    expected = dense_model_update(problem, state, cfg)
+    model, iters = update_model(state, problem, cfg)
+    assert iters == 0
+    assert np.linalg.norm(model - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def counting_operator(op, batched_adjoints):
+    """``op`` rebuilt the way a tracer wraps it, counting block adjoints."""
+
+    def adjoint(y):
+        if np.ndim(y) == 2:
+            batched_adjoints.append(np.shape(y))
+        return op.adjoint(y)
+
+    return dataclasses.replace(op, forward=lambda x: op.forward(x), adjoint=adjoint)
+
+
+def test_woodbury_survives_operator_rebuild():
+    problem, cfg, state = operator_problem_and_state(make_gaussian_sensing(70, 40, seed=2), GridDims(40, 1))
+    model, _ = update_model(state, problem, cfg)
+    blocks = []
+    wrapped = dataclasses.replace(problem, operator=counting_operator(problem.operator, blocks))
+    rebuilt, iters = update_model(state, wrapped, cfg)
+    assert iters == 0
+    assert blocks == [(70, 32), (70, 32), (70, 6)]
+    assert np.array_equal(rebuilt, model)
+
+
+def test_admm_run_sets_up_the_model_solver_once():
+    base = small_problem(n=32, m=24)
+    counts = []
+    for sweeps in (2, 7):
+        blocks = []
+        problem = dataclasses.replace(base, operator=counting_operator(base.operator, blocks))
+        cfg = AdmmConfig(noise_energy=base.noise_energy, max_iter=sweeps, run_to_max_iter=True)
+        _, history = admm_run(problem, cfg)
+        assert len(history) == sweeps
+        assert all(record.cg_iters == 0 for record in history)
+        counts.append(len(blocks))
+    assert counts == [1, 1]
 
 
 def test_update_model_identity_operator_dense_oracle():

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import types
 import warnings
 from pathlib import Path
@@ -6,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tikhtv
 from tikhtv.admm import AdmmConfig, DivergenceError, IterationRecord, admm_run
 from tikhtv.cli import (
     HISTORY_HEADER,
@@ -571,3 +575,13 @@ def test_solve_exit_codes(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
     assert main(["solve", str(cfg_path), "--out", str(blocker / "sub")]) == 3
+
+
+def test_cli_import_leaves_scipy_linalg_and_fft_unloaded():
+    # each adds megabytes of RSS on import (about 8 MB for scipy.linalg);
+    # the exact solves use numpy.linalg and numpy.fft instead
+    src = str(Path(tikhtv.__file__).resolve().parents[1])
+    code = "import sys, tikhtv.cli; print([m for m in ('scipy.linalg', 'scipy.fft') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -272,6 +272,21 @@ def test_add_noise_determinism_and_seeding():
     assert not np.array_equal(a.data, c.data)
 
 
+def test_add_noise_reuses_noiseless_data():
+    from dataclasses import replace
+
+    problem = base_problem()
+    op, forwards = problem.operator, []
+    counted = replace(problem, operator=replace(op, forward=lambda x: forwards.append(1) or op.forward(x)))
+    noisy = add_noise(counted, 0.1, "data_norm", seed=5)
+    assert forwards == []
+    assert np.array_equal(noisy.data, problem.data + noisy.true_noise)
+    # a noisy problem's data are not clean: re-noising recomputes them
+    renoised = add_noise(noisy, 0.2, "data_norm", seed=6)
+    assert forwards == [1]
+    assert np.array_equal(renoised.data, problem.data + renoised.true_noise)
+
+
 def test_add_noise_validation():
     problem = base_problem()
     with pytest.raises(ValueError):
