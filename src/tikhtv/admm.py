@@ -194,10 +194,8 @@ def model_solver(problem: TestProblem, cfg: AdmmConfig, grad_op: LinearOperator)
     w1, w2 = cfg.split_weight, cfg.data_weight
 
     if op.structure == "identity":
-        axes = (0,) if dims.is_1d else (0, 1)
-
         def solve_identity(rhs, x0):
-            return dims.to_vector(neumann_solve(dims.to_grid(rhs), w2, w1, axes)), 0
+            return dims.to_vector(neumann_solve(dims.to_grid(rhs), w2, w1, dims.axes)), 0
 
         return solve_identity
 
@@ -233,10 +231,9 @@ def _woodbury_solver(op: LinearOperator, dims: GridDims, w1: float, w2: float) -
     """
     n, m = dims.n, op.rows
     eps = w1
-    axes = (0,) if dims.is_1d else (0, 1)
 
     def b_inv(x):
-        return dims.to_vector(neumann_solve(dims.to_grid(x), 0.0, w1, axes)) + x.mean(axis=0) / eps
+        return dims.to_vector(neumann_solve(dims.to_grid(x), 0.0, w1, dims.axes)) + x.mean(axis=0) / eps
 
     # B^-1 U, one block of A' columns at a time so that A' is never held whole
     bu = np.empty((n, m + 1))
@@ -311,20 +308,19 @@ def update_smooth_grad(
         (I + (balance/split_weight) B'B) g2 = D m - g1 - y1
 
     with B the per-component first difference.  B'B is the Neumann Laplacian
-    of each component along its own axis: along the model in 1-d; in 2-d
-    along the grid rows for the horizontal block and along the grid columns
-    for the vertical block.  Each is one ``neumann_solve``.
+    of each gradient block along its own axis (``dims.grad_axes``), so each
+    block is one ``neumann_solve``.
     """
     target = grad_model - state.sparse_grad - state.dual_split
     c = state.balance / cfg.split_weight
     if c == 0.0:
         return target.copy()
-    if dims.is_1d:
-        return neumann_solve(target, 1.0, c, axes=(0,))
-    n = dims.n
-    h = neumann_solve(dims.to_grid(target[:n]), 1.0, c, axes=(1,))
-    v = neumann_solve(dims.to_grid(target[n:]), 1.0, c, axes=(0,))
-    return np.concatenate([dims.to_vector(h), dims.to_vector(v)])
+    return np.concatenate(
+        [
+            dims.to_vector(neumann_solve(block, 1.0, c, axes=(axis,)))
+            for block, axis in zip(dims.grad_blocks(target), dims.grad_axes)
+        ]
+    )
 
 
 def update_noise(state: AdmmState, cfg: AdmmConfig, misfit: np.ndarray) -> tuple[np.ndarray, float]:

@@ -174,36 +174,31 @@ _SOLVER_KEYS = {
 _CG_KEYS = {f"cg_{name}": kind for name, kind in typing.get_type_hints(CgSettings).items()}
 _TYPE_PARSERS = {float: _parse_float, int: _parse_int, bool: _parse_bool, str: str}
 
-# key -> (parser, applicable experiments or None for all)
+# key -> parser.  A key other than a solver key applies to an experiment
+# when the global or the experiment's defaults hold it.
 _SCHEMA = {
-    **{key: (_TYPE_PARSERS[kind], None) for key, kind in {**_SOLVER_KEYS, **_CG_KEYS}.items()},
-    "experiment": (lambda raw: _parse_choice(raw, EXPERIMENTS), None),
-    "seed": (_parse_int, None),
-    "modes": (_parse_modes, None),
-    "epsilon_scale": (_parse_float, None),
-    "image_format": (lambda raw: _parse_choice(raw, ("pgm16", "csv")), None),
-    "out": (str, None),
-    "noise_level": (_parse_float, None),
-    "noise_reference": (lambda raw: _parse_choice(raw, ("data_norm", "model_norm")), None),
-    "n": (_parse_int, ("cs_1d", "dix_1d")),
-    "m_rows": (_parse_int, ("cs_1d",)),
-    "signal": (lambda raw: _parse_choice(raw, ("all",) + SIGNAL_KINDS), ("cs_1d",)),
-    "nz": (_parse_int, ("denoise_2d", "decompose_2d", "dix_2d", "xray_full", "xray_limited")),
-    "nx": (_parse_int, ("denoise_2d", "decompose_2d", "dix_2d", "xray_full", "xray_limited")),
-    "phantom": (
-        lambda raw: _parse_choice(raw, PHANTOM_KINDS),
-        ("denoise_2d", "decompose_2d", "xray_full", "xray_limited"),
-    ),
-    "pick_fraction": (_parse_float, ("dix_1d",)),
-    "trace_fraction": (_parse_float, ("dix_2d",)),
-    "n_angles": (_parse_int, ("xray_full", "xray_limited")),
-    "n_rays": (_parse_int, ("xray_full", "xray_limited")),
-    "angle_min": (_parse_float, ("xray_full", "xray_limited")),
-    "angle_max": (_parse_float, ("xray_full", "xray_limited")),
-    "angle_endpoint": (
-        lambda raw: _parse_choice(raw, ("auto", "true", "false")),
-        ("xray_full", "xray_limited"),
-    ),
+    **{key: _TYPE_PARSERS[kind] for key, kind in {**_SOLVER_KEYS, **_CG_KEYS}.items()},
+    "experiment": lambda raw: _parse_choice(raw, EXPERIMENTS),
+    "seed": _parse_int,
+    "modes": _parse_modes,
+    "epsilon_scale": _parse_float,
+    "image_format": lambda raw: _parse_choice(raw, ("pgm16", "csv")),
+    "out": str,
+    "noise_level": _parse_float,
+    "noise_reference": lambda raw: _parse_choice(raw, ("data_norm", "model_norm")),
+    "n": _parse_int,
+    "m_rows": _parse_int,
+    "signal": lambda raw: _parse_choice(raw, ("all",) + SIGNAL_KINDS),
+    "nz": _parse_int,
+    "nx": _parse_int,
+    "phantom": lambda raw: _parse_choice(raw, PHANTOM_KINDS),
+    "pick_fraction": _parse_float,
+    "trace_fraction": _parse_float,
+    "n_angles": _parse_int,
+    "n_rays": _parse_int,
+    "angle_min": _parse_float,
+    "angle_max": _parse_float,
+    "angle_endpoint": lambda raw: _parse_choice(raw, ("auto", "true", "false")),
 }
 
 # the solver keys default to the AdmmConfig/CgSettings defaults
@@ -214,7 +209,6 @@ _GLOBAL_DEFAULTS = dict(
     image_format="pgm16",
     out=None,
     noise_reference="data_norm",
-    angle_endpoint="auto",
 )
 
 # per-experiment values, solver keys included, over the global defaults
@@ -244,12 +238,12 @@ _EXPERIMENT_DEFAULTS = {
     ),
     "xray_full": dict(
         nz=128, nx=128, phantom="shepp_logan", n_angles=90, n_rays=181,
-        angle_min=-90.0, angle_max=90.0, noise_level=0.01,
+        angle_min=-90.0, angle_max=90.0, angle_endpoint="auto", noise_level=0.01,
         max_iter=500, run_to_max_iter=False,
     ),
     "xray_limited": dict(
         nz=128, nx=128, phantom="smooth_blob_mix", n_angles=85, n_rays=181,
-        angle_min=-42.0, angle_max=42.0, noise_level=0.001,
+        angle_min=-42.0, angle_max=42.0, angle_endpoint="auto", noise_level=0.001,
         max_iter=600, run_to_max_iter=True,
     ),
 }
@@ -282,13 +276,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: missing required key 'experiment'")
     experiment = _parse_choice(raw.pop("experiment"), EXPERIMENTS)
 
-    values = {"experiment": experiment, **_GLOBAL_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
+    defaults = {**_GLOBAL_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
+    values = {"experiment": experiment, **defaults}
     for key, raw_value in raw.items():
-        parser, applicable = _SCHEMA[key]
-        if applicable is not None and experiment not in applicable:
+        if key not in defaults and key not in _SOLVER_KEYS and key not in _CG_KEYS:
             raise ConfigError(f"{source}: key {key!r} does not apply to experiment {experiment!r}")
         try:
-            values[key] = parser(raw_value)
+            values[key] = _SCHEMA[key](raw_value)
         except ConfigError as exc:
             raise ConfigError(f"{source}: key {key!r}: {exc}") from None
 
@@ -467,9 +461,7 @@ def integrate_smooth_gradient(smooth_grad, dims: GridDims) -> np.ndarray:
     """
     grad_op = make_derivative_operator("grad", dims)
     rhs = grad_op.adjoint(np.asarray(smooth_grad, dtype=float).ravel())
-    # a 1-d model is solved along its one axis, not as an (n, 1) grid
-    grid = np.squeeze(dims.to_grid(rhs))
-    return dims.to_vector(neumann_solve(grid, 0.0, 1.0, axes=range(grid.ndim)))
+    return dims.to_vector(neumann_solve(dims.to_grid(rhs), 0.0, 1.0, dims.axes))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,17 @@ pure (no internal state is mutated by application) and deterministic, so the
 adjoint identity ``<A x, y> == <x, A* y>`` can be checked numerically for any
 of the constructors in this module.
 
-Two-dimensional models live on an ``nz x nx`` grid and are stacked
-column-major (depth index ``z`` fastest), see :class:`GridDims`.
+Models live on an ``nz x nx`` grid stacked column-major (depth index ``z``
+fastest).  :class:`GridDims` owns that layout and the layout of the stacked
+gradient ``D m``: one block per grid axis, each block differencing along its
+own axis.  The derivative operators here and every caller that splits a
+gradient into its blocks read it from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -71,11 +75,18 @@ class LinearOperator:
 
 @dataclass(frozen=True)
 class GridDims:
-    """Model grid dimensions.
+    """Model grid dimensions and the layout of the stacked gradient.
 
     ``nx == 1`` denotes a 1-d model of length ``nz``.  2-d models are stacked
     column-major: model vector entry ``iz + nz*ix`` holds grid node
     ``(iz, ix)``, i.e. the depth index varies fastest.
+
+    A model varies along the grid :attr:`axes`: ``(0,)`` in 1-d, ``(0, 1)``
+    in 2-d.  Its stacked gradient ``D m`` (length :attr:`grad_len`) holds one
+    block of ``n`` entries per axis, each stacked like the model; block ``i``
+    is the first difference along grid axis ``grad_axes[i]``.  In 2-d the
+    horizontal block (along x, axis 1) comes first, then the vertical one
+    (along z, axis 0).
     """
 
     nz: int
@@ -96,9 +107,20 @@ class GridDims:
         return self.nx == 1
 
     @property
+    def axes(self) -> tuple[int, ...]:
+        """The grid axes the model varies along."""
+        return (0,) if self.is_1d else (0, 1)
+
+    @property
+    def grad_axes(self) -> tuple[int, ...]:
+        """The axis each stacked gradient block differences along, in
+        stacking order."""
+        return self.axes[::-1]
+
+    @property
     def grad_len(self) -> int:
-        """Length of a stacked gradient vector (n in 1-d, 2n in 2-d)."""
-        return self.n if self.is_1d else 2 * self.n
+        """Length of a stacked gradient vector: one block of n per axis."""
+        return len(self.axes) * self.n
 
     def to_grid(self, x: np.ndarray) -> np.ndarray:
         """Reshape a stacked model vector to its (nz, nx) grid; an (n, k)
@@ -110,6 +132,12 @@ class GridDims:
         """Inverse of :meth:`to_grid`: (nz, nx) to (n,), (nz, nx, k) to (n, k)."""
         grid = np.asarray(grid, dtype=float)
         return grid.reshape((self.n,) + grid.shape[2:], order="F")
+
+    def grad_blocks(self, g: np.ndarray) -> list[np.ndarray]:
+        """Split a stacked gradient, (grad_len,) or (grad_len, k), into the
+        grid of each block, in the order of :attr:`grad_axes`."""
+        n = self.n
+        return [self.to_grid(g[i * n : (i + 1) * n]) for i in range(len(self.axes))]
 
 
 def _vec(x, n, label):
@@ -133,49 +161,23 @@ def identity(n: int) -> LinearOperator:
 # ---------------------------------------------------------------------------
 # First/second difference stencils.
 #
-# The 1-d first difference maps x to (x[1]-x[0], ..., x[n-1]-x[n-2], 0); the
-# final row is identically zero so the operator is square.  All higher
-# operators are built from this stencil.
+# The first difference along an axis maps x to (x[1]-x[0], ..., x[n-1]-x[n-2],
+# 0); the final row is identically zero so the operator is square.  All
+# higher operators are built from this stencil.
 
 
-def _diff(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    out[:-1] = v[1:] - v[:-1]
+def _diff(g: np.ndarray, axis: int) -> np.ndarray:
+    out = np.zeros_like(g)
+    o, v = np.swapaxes(out, axis, 0), np.swapaxes(g, axis, 0)
+    o[:-1] = v[1:] - v[:-1]
     return out
 
 
-def _diff_adj(w: np.ndarray) -> np.ndarray:
+def _diff_adj(w: np.ndarray, axis: int) -> np.ndarray:
     out = np.zeros_like(w)
-    out[:-1] -= w[:-1]
-    out[1:] += w[:-1]
-    return out
-
-
-def _diff_rows(g: np.ndarray) -> np.ndarray:
-    # difference along z (down each column)
-    out = np.zeros_like(g)
-    out[:-1, :] = g[1:, :] - g[:-1, :]
-    return out
-
-
-def _diff_rows_adj(g: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(g)
-    out[:-1, :] -= g[:-1, :]
-    out[1:, :] += g[:-1, :]
-    return out
-
-
-def _diff_cols(g: np.ndarray) -> np.ndarray:
-    # difference along x (across each row)
-    out = np.zeros_like(g)
-    out[:, :-1] = g[:, 1:] - g[:, :-1]
-    return out
-
-
-def _diff_cols_adj(g: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(g)
-    out[:, :-1] -= g[:, :-1]
-    out[:, 1:] += g[:, :-1]
+    o, v = np.swapaxes(out, axis, 0), np.swapaxes(w, axis, 0)
+    o[:-1] -= v[:-1]
+    o[1:] += v[:-1]
     return out
 
 
@@ -185,12 +187,13 @@ def make_derivative_operator(kind: str, dims: GridDims) -> LinearOperator:
     Parameters
     ----------
     kind : {"grad", "second_derivative", "component_grad"}
-        ``grad`` is the first-order forward difference: in 1-d an ``n x n``
-        map whose last row is zero, in 2-d the ``2n x n`` stack of the
-        horizontal differences followed by the vertical differences.
+        ``grad`` is the first-order forward difference, the
+        ``grad_len x n`` stacked gradient of :class:`GridDims` (in 1-d an
+        ``n x n`` map whose last row is zero).
         ``component_grad`` applies the first difference to each block of a
-        stacked gradient vector (equal to ``grad`` in 1-d, block-diagonal in
-        2-d, so it maps gradient space to gradient space).
+        stacked gradient vector along that block's own axis (equal to
+        ``grad`` in 1-d, block-diagonal in 2-d, so it maps gradient space to
+        gradient space).
         ``second_derivative`` is the composition ``component_grad * grad``.
     dims : GridDims
 
@@ -208,40 +211,29 @@ def make_derivative_operator(kind: str, dims: GridDims) -> LinearOperator:
     if kind not in ("grad", "component_grad"):
         raise ValueError(f"unknown derivative kind: {kind!r}")
 
-    n = dims.n
-    if dims.is_1d:
-        def fwd(x):
-            return _diff(_vec(x, n, kind))
-
-        def adj(y):
-            return _diff_adj(_vec(y, n, kind))
-
-        tag = "first-difference" if kind == "grad" else "component-difference"
-        return LinearOperator(n, n, fwd, adj, label=f"{tag}({_dims_tag(dims)})")
-
+    n, glen, axes = dims.n, dims.grad_len, dims.grad_axes
     grid, vector = dims.to_grid, dims.to_vector
     if kind == "grad":
         def fwd(x):
             g = grid(_vec(x, n, "grad"))
-            return np.concatenate([vector(_diff_cols(g)), vector(_diff_rows(g))])
+            return np.concatenate([vector(_diff(g, a)) for a in axes])
 
         def adj(y):
-            y = _vec(y, 2 * n, "grad adjoint")
-            return vector(_diff_cols_adj(grid(y[:n])) + _diff_rows_adj(grid(y[n:])))
+            blocks = dims.grad_blocks(_vec(y, glen, "grad adjoint"))
+            # summed from the first block on, not from 0, to keep signed zeros
+            return vector(reduce(np.add, map(_diff_adj, blocks, axes)))
 
-        return LinearOperator(2 * n, n, fwd, adj, label=f"first-difference({_dims_tag(dims)})")
+        return LinearOperator(glen, n, fwd, adj, label=f"first-difference({_dims_tag(dims)})")
 
     def fwd(x):
-        x = _vec(x, 2 * n, "component_grad")
-        return np.concatenate([vector(_diff_cols(grid(x[:n]))), vector(_diff_rows(grid(x[n:])))])
+        blocks = dims.grad_blocks(_vec(x, glen, "component_grad"))
+        return np.concatenate([vector(_diff(b, a)) for b, a in zip(blocks, axes)])
 
     def adj(y):
-        y = _vec(y, 2 * n, "component_grad adjoint")
-        return np.concatenate(
-            [vector(_diff_cols_adj(grid(y[:n]))), vector(_diff_rows_adj(grid(y[n:])))]
-        )
+        blocks = dims.grad_blocks(_vec(y, glen, "component_grad adjoint"))
+        return np.concatenate([vector(_diff_adj(b, a)) for b, a in zip(blocks, axes)])
 
-    return LinearOperator(2 * n, 2 * n, fwd, adj, label=f"component-difference({_dims_tag(dims)})")
+    return LinearOperator(glen, glen, fwd, adj, label=f"component-difference({_dims_tag(dims)})")
 
 
 def _dims_tag(dims: GridDims) -> str:

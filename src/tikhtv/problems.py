@@ -280,19 +280,19 @@ def add_noise(problem: TestProblem, level: float, reference: str = "data_norm", 
         raise ValueError(f"unknown noise reference: {reference!r}")
 
     clean = problem.data if problem.true_noise is None else problem.operator.forward(problem.true_model)
-    if level == 0.0:
-        noise = np.zeros_like(clean)
-    else:
-        ref = np.linalg.norm(clean) if reference == "data_norm" else np.linalg.norm(problem.true_model)
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(clean.size)
-        noise *= level * ref / np.linalg.norm(noise)
-    return replace(
-        problem,
-        data=clean + noise,
-        true_noise=noise,
-        noise_energy=float(noise @ noise),
-    )
+    # a huge level overflows to non-finite data or budget, which admm_run
+    # reports as a DivergenceError before its first sweep
+    with np.errstate(over="ignore"):
+        if level == 0.0:
+            noise = np.zeros_like(clean)
+        else:
+            ref = np.linalg.norm(clean) if reference == "data_norm" else np.linalg.norm(problem.true_model)
+            rng = np.random.default_rng(seed)
+            noise = rng.standard_normal(clean.size)
+            noise *= level * ref / np.linalg.norm(noise)
+        data = clean + noise
+        energy = float(noise @ noise)
+    return replace(problem, data=data, true_noise=noise, noise_energy=energy)
 
 
 def metrics(estimate, truth, operator: LinearOperator, data) -> tuple[float, float]:

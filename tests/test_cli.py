@@ -12,6 +12,7 @@ import pytest
 import tikhtv
 from tikhtv.admm import AdmmConfig, DivergenceError, IterationRecord, admm_run
 from tikhtv.cli import (
+    EXPERIMENTS,
     HISTORY_HEADER,
     ConfigError,
     admm_config_for,
@@ -75,11 +76,34 @@ def test_parse_rejects_duplicate_key():
         parse_config_text("experiment = cs_1d\nseed = 1\nseed = 2\n")
 
 
+# problem key -> (a valid raw value, its parsed value, the experiments the key
+# applies to)
+PROBLEM_KEYS = {
+    "n": ("64", 64, ("cs_1d", "dix_1d")),
+    "m_rows": ("10", 10, ("cs_1d",)),
+    "signal": ("blocky", "blocky", ("cs_1d",)),
+    "nz": ("32", 32, ("denoise_2d", "decompose_2d", "dix_2d", "xray_full", "xray_limited")),
+    "nx": ("32", 32, ("denoise_2d", "decompose_2d", "dix_2d", "xray_full", "xray_limited")),
+    "phantom": ("shepp_logan", "shepp_logan", ("denoise_2d", "decompose_2d", "xray_full", "xray_limited")),
+    "pick_fraction": ("0.5", 0.5, ("dix_1d",)),
+    "trace_fraction": ("0.5", 0.5, ("dix_2d",)),
+    "n_angles": ("10", 10, ("xray_full", "xray_limited")),
+    "n_rays": ("11", 11, ("xray_full", "xray_limited")),
+    "angle_min": ("-40", -40.0, ("xray_full", "xray_limited")),
+    "angle_max": ("40", 40.0, ("xray_full", "xray_limited")),
+    "angle_endpoint": ("true", "true", ("xray_full", "xray_limited")),
+}
+
+
 def test_parse_rejects_inapplicable_key():
-    with pytest.raises(ConfigError, match="does not apply"):
-        parse_config_text("experiment = cs_1d\nn_angles = 10\n")
-    with pytest.raises(ConfigError, match="does not apply"):
-        parse_config_text("experiment = denoise_2d\nm_rows = 10\n")
+    for key, (raw, parsed, applicable) in PROBLEM_KEYS.items():
+        for experiment in EXPERIMENTS:
+            text = f"experiment = {experiment}\n{key} = {raw}\n"
+            if experiment in applicable:
+                assert getattr(parse_config_text(text), key) == parsed
+            else:
+                with pytest.raises(ConfigError, match="does not apply"):
+                    parse_config_text(text)
 
 
 def test_parse_requires_experiment():
@@ -508,14 +532,23 @@ def test_solve_non_finite_data_exits_2_cleanly(tmp_path, capsys, name):
 
 
 def test_solve_in_sweep_overflow_writes_only_the_divergence_line(tmp_path, capsys):
-    # any numpy warning on the way would raise here and end in a traceback
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _ = run_mini(tmp_path, text=SWEEP_OVERFLOW["dix_1d_in_sweep"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("solver diverged:")
-    assert err.count("\n") == 1
+    overflows = {
+        **NON_FINITE_NOISE,
+        **SWEEP_OVERFLOW,
+        # a noise norm whose square overflows the budget
+        "cs_1d_budget": "experiment = cs_1d\nsignal = smooth\nnoise_level = 1e300\nmax_iter = 3\n",
+    }
+    for name, text in overflows.items():
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        # any numpy warning on the way would raise here and end in a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_mini(run_dir, text=text)
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert err.startswith("solver diverged:"), name
+        assert err.count("\n") == 1, name
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -39,8 +39,11 @@ def random_adjoint_check(op: LinearOperator, trials: int = 100, rtol: float = 1e
 def test_grid_dims_basics():
     d1 = GridDims(8, 1)
     assert d1.is_1d and d1.n == 8 and d1.grad_len == 8
+    assert d1.axes == (0,) and d1.grad_axes == (0,)
     d2 = GridDims(4, 6)
     assert not d2.is_1d and d2.n == 24 and d2.grad_len == 48
+    # the horizontal block (along axis 1) is stacked first
+    assert d2.axes == (0, 1) and d2.grad_axes == (1, 0)
 
 
 def test_grid_dims_vector_grid_round_trip():
@@ -51,6 +54,14 @@ def test_grid_dims_vector_grid_round_trip():
     # column-major stacking: the first nz entries form the first grid column
     assert np.array_equal(grid[:, 0], [0.0, 1.0, 2.0])
     assert np.array_equal(dims.to_vector(grid), v)
+    # a stacked gradient splits into one grid per block, and back
+    for d in (dims, GridDims(5, 1)):
+        for g in (np.arange(float(d.grad_len)), np.arange(3.0 * d.grad_len).reshape(d.grad_len, 3)):
+            blocks = d.grad_blocks(g)
+            assert len(blocks) == len(d.grad_axes)
+            assert all(b.shape == (d.nz, d.nx) + g.shape[1:] for b in blocks)
+            assert np.array_equal(blocks[0], d.to_grid(g[: d.n]))
+            assert np.array_equal(np.concatenate([d.to_vector(b) for b in blocks]), g)
 
 
 def test_grid_dims_validation():
