@@ -433,9 +433,11 @@ def write_image(model, dims: GridDims, path, image_format: str) -> None:
     grid = dims.to_grid(np.asarray(model, dtype=float))
     path = Path(path)
     if image_format == "csv":
+        # one "%.17g" format per row: the text of _fmt, value by value
+        line = ",".join(["%.17g"] * dims.nx) + "\n"
         with open(path, "w") as fh:
             for row in grid:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(line % tuple(row.tolist()))
         return
     if image_format != "pgm16":
         raise ValueError(f"unknown image format: {image_format!r}")

@@ -17,6 +17,7 @@ gradient into its blocks read it from there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
@@ -133,6 +134,14 @@ class GridDims:
         grid = np.asarray(grid, dtype=float)
         return grid.reshape((self.n,) + grid.shape[2:], order="F")
 
+    def lines(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """View a stacked model vector, (n,) or (n, k), as its grid lines
+        along grid ``axis``: shape ``(outer, n_axis, inner)``, then ``k``,
+        with one line at each ``[o, :, i]``.  Column-major stacking makes
+        this a plain reshape, so it is a view of a contiguous ``x``."""
+        shape = (self.nz, self.nx)
+        return x.reshape((-1, shape[axis], math.prod(shape[:axis])) + x.shape[1:])
+
     def grad_blocks(self, g: np.ndarray) -> list[np.ndarray]:
         """Split a stacked gradient, (grad_len,) or (grad_len, k), into the
         grid of each block, in the order of :attr:`grad_axes`."""
@@ -166,19 +175,20 @@ def identity(n: int) -> LinearOperator:
 # higher operators are built from this stencil.
 
 
-def _diff(g: np.ndarray, axis: int) -> np.ndarray:
-    out = np.zeros_like(g)
-    o, v = np.swapaxes(out, axis, 0), np.swapaxes(g, axis, 0)
-    o[:-1] = v[1:] - v[:-1]
-    return out
+def _diff(v: np.ndarray, out: np.ndarray) -> None:
+    """First difference along axis 1 of line views (:meth:`GridDims.lines`)."""
+    np.subtract(v[:, 1:], v[:, :-1], out=out[:, :-1])
+    out[:, -1] = 0.0
 
 
-def _diff_adj(w: np.ndarray, axis: int) -> np.ndarray:
-    out = np.zeros_like(w)
-    o, v = np.swapaxes(out, axis, 0), np.swapaxes(w, axis, 0)
-    o[:-1] -= v[:-1]
-    o[1:] += v[:-1]
-    return out
+def _diff_adj(w: np.ndarray, out: np.ndarray) -> None:
+    """Adjoint of :func:`_diff`: ``out_j = w_{j-1} - w_j`` with
+    ``w_{-1} = w_{n-1} = 0``."""
+    # not np.negative(..., out=): numpy 2.4 writes wrong values through an
+    # output view whose stride is 8 elements (lines of an 8 x nx grid)
+    np.subtract(0.0, w[:, :1], out=out[:, :1])
+    np.subtract(w[:, :-2], w[:, 1:-1], out=out[:, 1:-1])
+    out[:, -1] = w[:, -2]
 
 
 def make_derivative_operator(kind: str, dims: GridDims) -> LinearOperator:
@@ -211,27 +221,40 @@ def make_derivative_operator(kind: str, dims: GridDims) -> LinearOperator:
     if kind not in ("grad", "component_grad"):
         raise ValueError(f"unknown derivative kind: {kind!r}")
 
-    n, glen, axes = dims.n, dims.grad_len, dims.grad_axes
-    grid, vector = dims.to_grid, dims.to_vector
+    n, glen, axes, lines = dims.n, dims.grad_len, dims.grad_axes, dims.lines
+    spans = [slice(i * n, (i + 1) * n) for i in range(len(axes))]
+
+    def diff_blocks(sources, k_shape):
+        # block i of the output is the difference of sources[i] along axes[i]
+        out = np.empty((glen,) + k_shape)
+        for src, span, a in zip(sources, spans, axes):
+            _diff(lines(src, a), lines(out[span], a))
+        return out
+
+    def diff_adj_blocks(y):
+        out = np.empty(y.shape)
+        for span, a in zip(spans, axes):
+            _diff_adj(lines(y[span], a), lines(out[span], a))
+        return out
+
     if kind == "grad":
         def fwd(x):
-            g = grid(_vec(x, n, "grad"))
-            return np.concatenate([vector(_diff(g, a)) for a in axes])
+            x = _vec(x, n, "grad")
+            return diff_blocks([x] * len(axes), x.shape[1:])
 
         def adj(y):
-            blocks = dims.grad_blocks(_vec(y, glen, "grad adjoint"))
+            blocks = diff_adj_blocks(_vec(y, glen, "grad adjoint"))
             # summed from the first block on, not from 0, to keep signed zeros
-            return vector(reduce(np.add, map(_diff_adj, blocks, axes)))
+            return reduce(np.add, (blocks[span] for span in spans))
 
         return LinearOperator(glen, n, fwd, adj, label=f"first-difference({_dims_tag(dims)})")
 
     def fwd(x):
-        blocks = dims.grad_blocks(_vec(x, glen, "component_grad"))
-        return np.concatenate([vector(_diff(b, a)) for b, a in zip(blocks, axes)])
+        x = _vec(x, glen, "component_grad")
+        return diff_blocks([x[span] for span in spans], x.shape[1:])
 
     def adj(y):
-        blocks = dims.grad_blocks(_vec(y, glen, "component_grad adjoint"))
-        return np.concatenate([vector(_diff_adj(b, a)) for b, a in zip(blocks, axes)])
+        return diff_adj_blocks(_vec(y, glen, "component_grad adjoint"))
 
     return LinearOperator(glen, glen, fwd, adj, label=f"component-difference({_dims_tag(dims)})")
 

@@ -48,8 +48,13 @@ def mad(values) -> float:
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("mad of empty data")
-    mid = np.median(values)
-    return float(MAD_SCALE * np.median(np.abs(values - mid)))
+    return _scaled_median_abs(values - np.median(values))
+
+
+def _scaled_median_abs(deviations: np.ndarray) -> float:
+    """``1.4826 * median(|deviations|)``, the MAD of data whose deviations
+    from their median are given."""
+    return float(MAD_SCALE * np.median(np.abs(deviations), overwrite_input=True))
 
 
 @dataclass(frozen=True)
@@ -93,14 +98,16 @@ def gradient_stats(grad, smooth_grad, zscore_threshold: float = 2.5) -> Gradient
         raise ValueError("zscore_threshold must be positive")
 
     mid = median(grad)
-    spread = mad(grad)
+    deviations = grad - mid
+    spread = _scaled_median_abs(deviations)
     grad_inf = float(np.max(np.abs(grad)))
     degenerate = spread < _MAD_FLOOR * (1.0 + grad_inf)
     if degenerate:
         z = np.zeros_like(grad)
         mask = np.ones(grad.size, dtype=bool)
     else:
-        z = (grad - mid) / spread
+        z = deviations
+        z /= spread
         mask = np.abs(z) <= zscore_threshold
 
     mask_empty = not bool(mask.any())

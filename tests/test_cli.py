@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -15,6 +16,7 @@ from tikhtv.cli import (
     EXPERIMENTS,
     HISTORY_HEADER,
     ConfigError,
+    _fmt,
     admm_config_for,
     build_problems,
     format_history_row,
@@ -335,6 +337,18 @@ def test_write_image_csv_roundtrip(tmp_path):
     assert np.allclose(dims.to_vector(loaded), values, rtol=1e-15, atol=0)
 
 
+def test_write_image_csv_bytes_match_per_value_format(tmp_path):
+    # the row-wise format must give the text of _fmt, value by value,
+    # including signed zeros, subnormals and extremes
+    dims = GridDims(3, 4)
+    values = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300,
+                       0.1, 1.0 / 3.0, -7.0, 123456789.0, 2.5e-10, np.pi])
+    path = tmp_path / "img.csv"
+    write_image(values, dims, path, "csv")
+    want = "".join(",".join(_fmt(v) for v in row) + "\n" for row in dims.to_grid(values))
+    assert path.read_bytes() == want.encode("ascii")
+
+
 def test_write_image_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="image format"):
         write_image(np.zeros(4), GridDims(2, 2), tmp_path / "x.img", "jpeg")
@@ -365,6 +379,21 @@ def test_integrate_smooth_gradient_2d_recovers_potential():
     grad = make_derivative_operator("grad", dims).forward(vec)
     recovered = integrate_smooth_gradient(grad, dims)
     assert np.linalg.norm(recovered - vec) <= 1e-6 * np.linalg.norm(vec)
+
+
+def test_integrate_smooth_gradient_256_peak_memory():
+    # the n-point DCT holds no reflected copy of the grid: a 256 x 256
+    # potential (0.5 MB per array) peaks below 5 MB of traced allocations
+    dims = GridDims(256, 256)
+    grad = np.random.default_rng(4).standard_normal(dims.grad_len)
+    integrate_smooth_gradient(grad, dims)  # warm the transform's caches
+    tracemalloc.start()
+    try:
+        integrate_smooth_gradient(grad, dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 # ---------------------------------------------------------------------------

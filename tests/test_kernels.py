@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tikhtv.kernels import CgSettings, cg_solve, max_real_root_depressed_cubic, neumann_solve
+from tikhtv.kernels import CgSettings, _dct, _idct, cg_solve, max_real_root_depressed_cubic, neumann_solve
 
 
 def spd_apply(mat):
@@ -166,6 +166,60 @@ def test_neumann_zero_shift_is_mean_zero_least_squares(shape):
     want = np.linalg.lstsq(lap, rhs.ravel(order="F"), rcond=None)[0]
     assert np.allclose(got.ravel(order="F"), want, atol=1e-12)
     assert abs(got.mean()) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 256])
+def test_dct_matches_dense_dct_ii(n):
+    # X_k = sum_j x_j cos(pi k (2j + 1) / 2n) along the last axis, and back
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, n))
+    j = np.arange(n)
+    matrix = np.cos(np.pi * np.outer(j, 2 * j + 1) / (2 * n))
+    got = _dct(x)
+    assert got.shape == x.shape
+    assert np.allclose(got, x @ matrix.T, rtol=0.0, atol=1e-12 * np.abs(x).sum())
+    assert np.allclose(_idct(got), x, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.8])
+def test_neumann_batched_lines_match_dense(shift):
+    # an (n, 1, k) block solves each of its k lines along axis 0
+    n, k, weight = 9, 4, 1.3
+    rhs = np.random.default_rng(5).standard_normal((n, 1, k))
+    got = neumann_solve(rhs, shift, weight, axes=(0,))
+    mat = shift * np.eye(n) + weight * neumann_laplacian(n)
+    want = np.linalg.lstsq(mat, rhs[:, 0, :], rcond=None)[0]
+    assert got.shape == rhs.shape
+    assert np.allclose(got[:, 0, :], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)], ids=str)
+@pytest.mark.parametrize("shift", [0.0, 0.6])
+def test_neumann_odd_grid_matches_dense(axes, shift):
+    nz, nx, weight = 7, 5, 2.1
+    rhs = np.random.default_rng(len(axes)).standard_normal((nz, nx))
+    laps = grid_laplacians(nz, nx)
+    mat = shift * np.eye(nz * nx) + weight * sum(laps[a] for a in axes)
+    got = neumann_solve(rhs, shift, weight, axes=axes)
+    want = np.linalg.lstsq(mat, rhs.ravel(order="F"), rcond=None)[0]
+    assert got.shape == (nz, nx)
+    assert np.allclose(got.ravel(order="F"), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)], ids=str)
+def test_neumann_non_square_grid_residual(axes):
+    # 96 x 128 is too large for a dense solve: apply the dense Laplacian of
+    # each axis to the solution instead
+    nz, nx, shift, weight = 96, 128, 0.05, 3.0
+    rhs = np.random.default_rng(96).standard_normal((nz, nx))
+    got = neumann_solve(rhs, shift, weight, axes=axes)
+    applied = shift * got
+    if 0 in axes:
+        applied += weight * neumann_laplacian(nz) @ got
+    if 1 in axes:
+        applied += weight * got @ neumann_laplacian(nx)
+    assert got.shape == (nz, nx)
+    assert np.linalg.norm(applied - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 # ---------------------------------------------------------------------------

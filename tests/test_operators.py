@@ -64,6 +64,22 @@ def test_grid_dims_vector_grid_round_trip():
             assert np.array_equal(np.concatenate([d.to_vector(b) for b in blocks]), g)
 
 
+def test_grid_dims_lines_are_views_of_each_axis():
+    # for a contiguous vector or block the view shares its memory, so
+    # stencils can write through it
+    dims = GridDims(3, 4)
+    v = np.arange(24.0).reshape(12, 2)
+    grid = dims.to_grid(v)
+    down, across = dims.lines(v, 0), dims.lines(v, 1)
+    assert down.shape == (4, 3, 1, 2) and across.shape == (1, 4, 3, 2)
+    assert np.shares_memory(down, v) and np.shares_memory(across, v)
+    for ix in range(4):
+        assert np.array_equal(down[ix, :, 0], grid[:, ix])
+    for iz in range(3):
+        assert np.array_equal(across[0, :, iz], grid[iz, :])
+    assert np.array_equal(GridDims(5, 1).lines(np.arange(5.0), 0), np.arange(5.0).reshape(1, 5, 1))
+
+
 def test_grid_dims_validation():
     with pytest.raises(ValueError):
         GridDims(1, 4)
