@@ -382,7 +382,6 @@ def admm_run(
     if problem.true_model is not None:
         truth_norm = float(np.linalg.norm(problem.true_model))
 
-    stabilized = None
     prev_model = state.model.copy()
     for k in range(1, cfg.max_iter + 1):
         try:
@@ -445,10 +444,8 @@ def admm_run(
         ):
             raise DivergenceError(f"non-finite iterates at iteration {k}")
 
-        if stabilized is None and rel_change < cfg.rel_change_tol:
-            stabilized = k
-            if not cfg.run_to_max_iter:
-                break
+        if rel_change < cfg.rel_change_tol and not cfg.run_to_max_iter:
+            break
         prev_model = state.model.copy()
     return state, history
 

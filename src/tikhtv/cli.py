@@ -33,6 +33,8 @@ from .admm import (
 from .kernels import CgSettings, neumann_solve
 from .operators import GridDims, identity, make_derivative_operator, make_gaussian_sensing, make_radon
 from .problems import (
+    PHANTOM_KINDS,
+    SIGNAL_KINDS,
     TestProblem,
     add_noise,
     make_dix_problem,
@@ -57,19 +59,6 @@ __all__ = [
     "main",
     "console_main",
 ]
-
-EXPERIMENTS = (
-    "cs_1d",
-    "denoise_2d",
-    "dix_1d",
-    "dix_2d",
-    "xray_full",
-    "xray_limited",
-    "decompose_2d",
-)
-
-SIGNAL_KINDS = ("smooth", "piecewise_smooth", "blocky", "mixed")
-PHANTOM_KINDS = ("piecewise_smooth_2d", "shepp_logan", "smooth_blob_mix")
 
 HISTORY_HEADER = "iter,discrepancy,constraint_gap,beta,phi,rel_change,rel_error,cg_iters"
 
@@ -113,7 +102,7 @@ class ExperimentConfig:
     n_rays: int | None = None
     angle_min: float | None = None
     angle_max: float | None = None
-    angle_endpoint: str = "auto"
+    angle_endpoint: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +213,6 @@ _EXPERIMENT_DEFAULTS = {
         nz=256, nx=256, phantom="piecewise_smooth_2d", noise_level=0.3,
         noise_reference="model_norm", max_iter=500, run_to_max_iter=True,
     ),
-    "decompose_2d": dict(
-        nz=256, nx=256, phantom="piecewise_smooth_2d", noise_level=0.0,
-        noise_reference="model_norm", max_iter=300, run_to_max_iter=False,
-    ),
     "dix_1d": dict(
         n=512, pick_fraction=0.25, noise_level=0.001,
         max_iter=300, run_to_max_iter=True,
@@ -246,7 +231,12 @@ _EXPERIMENT_DEFAULTS = {
         angle_min=-42.0, angle_max=42.0, angle_endpoint="auto", noise_level=0.001,
         max_iter=600, run_to_max_iter=True,
     ),
+    "decompose_2d": dict(
+        nz=256, nx=256, phantom="piecewise_smooth_2d", noise_level=0.0,
+        noise_reference="model_norm", max_iter=300, run_to_max_iter=False,
+    ),
 }
+EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -288,7 +278,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
     cg = {key[len("cg_"):]: values.pop(key) for key in _CG_KEYS if key in values}
     solver = {key: values.pop(key) for key in _SOLVER_KEYS if key in values}
-    with _solver_errors():
+    with _config_errors():
         template = AdmmConfig(noise_energy=0.0, mode=values["modes"][0], cg=CgSettings(**cg), **solver)
     cfg = ExperimentConfig(solver=template, **values)
     _validate_config(cfg)
@@ -305,9 +295,9 @@ def parse_config_file(path) -> ExperimentConfig:
 
 
 @contextlib.contextmanager
-def _solver_errors():
-    """Report the solver settings' own checks (``__post_init__``) as
-    ConfigError."""
+def _config_errors():
+    """Report the ValueError of a setting's owner (the solver settings'
+    ``__post_init__``, the problem builders) as ConfigError."""
     try:
         yield
     except ValueError as exc:
@@ -319,20 +309,15 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("epsilon_scale must be positive")
     if cfg.noise_level < 0.0:
         raise ConfigError("noise_level must be non-negative")
-    for name in ("n", "m_rows", "nz", "nx", "n_angles", "n_rays"):
-        value = getattr(cfg, name)
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be positive")
     for name in ("pick_fraction", "trace_fraction"):
         value = getattr(cfg, name)
         if value is not None and not 0.0 < value <= 1.0:
             raise ConfigError(f"{name} must lie in (0, 1]")
-    if cfg.experiment in ("xray_full", "xray_limited"):
-        if not -90.0 <= cfg.angle_min < cfg.angle_max <= 90.0:
-            raise ConfigError("angles must satisfy -90 <= angle_min < angle_max <= 90")
+    if cfg.angle_min is not None and not -90.0 <= cfg.angle_min < cfg.angle_max <= 90.0:
+        raise ConfigError("angles must satisfy -90 <= angle_min < angle_max <= 90")
     # the solver settings are checked where they are defined
     for mode in cfg.modes:
-        with _solver_errors():
+        with _config_errors():
             dataclasses.replace(cfg.solver, mode=mode)
 
 
@@ -422,6 +407,21 @@ def write_history_csv(history, path) -> None:
             fh.write(format_history_row(record) + "\n")
 
 
+def _write_csv(values, path) -> None:
+    """Write a 2-d array as CSV lines, each value in the text of ``_fmt``."""
+    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    # about 4096 values per block: a whole 256 x 256 grid's text takes megabytes
+    step = max(1, 4096 // values.shape[1])
+    with open(path, "w") as fh:
+        for start in range(0, values.shape[0], step):
+            block = values[start : start + step]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _range_path(path) -> Path:
+    return Path(f"{path}.range.txt")
+
+
 def write_image(model, dims: GridDims, path, image_format: str) -> None:
     """Write a model vector as an image file.
 
@@ -433,11 +433,7 @@ def write_image(model, dims: GridDims, path, image_format: str) -> None:
     grid = dims.to_grid(np.asarray(model, dtype=float))
     path = Path(path)
     if image_format == "csv":
-        # one "%.17g" format per row: the text of _fmt, value by value
-        line = ",".join(["%.17g"] * dims.nx) + "\n"
-        with open(path, "w") as fh:
-            for row in grid:
-                fh.write(line % tuple(row.tolist()))
+        _write_csv(grid, path)
         return
     if image_format != "pgm16":
         raise ValueError(f"unknown image format: {image_format!r}")
@@ -450,7 +446,7 @@ def write_image(model, dims: GridDims, path, image_format: str) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{dims.nx} {dims.nz}\n65535\n".encode("ascii"))
         fh.write(scaled.astype(">u2").tobytes())
-    with open(f"{path}.range.txt", "w") as fh:
+    with open(_range_path(path), "w") as fh:
         fh.write(f"min={_fmt(lo)}\nmax={_fmt(hi)}\n")
 
 
@@ -482,12 +478,19 @@ def _resolve_out_dir(cfg: ExperimentConfig, override: str | None) -> Path:
 
 
 def _run_one_mode(problem: TestProblem, cfg: ExperimentConfig, mode: str, mode_dir: Path) -> None:
+    dims = problem.dims
+    formats = ("csv", "pgm16") if cfg.image_format == "pgm16" and not dims.is_1d else ("csv",)
+    suffix = {"csv": "csv", "pgm16": "pgm"}
+    images = {(name, fmt): mode_dir / f"{name}.{suffix[fmt]}" for name in ("m_est", "m1", "m2") for fmt in formats}
+    history_path, noise_path, summary_path = (mode_dir / name for name in ("history.csv", "e_est.csv", "summary.txt"))
+    # every file of the mode: a failed run removes them all, so that none
+    # from an earlier run into the same directory is left beside its summary
+    outputs = [history_path, noise_path, summary_path, *images.values()]
+    outputs += [_range_path(path) for (_, fmt), path in images.items() if fmt == "pgm16"]
+
     mode_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     try:
         solver_cfg = admm_config_for(cfg, problem, mode)
-        history_path = mode_dir / "history.csv"
-        written.append(history_path)
         start = time.perf_counter()
         with open(history_path, "w") as fh:
             fh.write(HISTORY_HEADER + "\n")
@@ -498,33 +501,15 @@ def _run_one_mode(problem: TestProblem, cfg: ExperimentConfig, mode: str, mode_d
             state, history = admm_run(problem, solver_cfg, callback=stream)
         elapsed = time.perf_counter() - start
 
-        smooth_part = integrate_smooth_gradient(state.smooth_grad, problem.dims)
-        sparse_part = state.model - smooth_part
-        image_formats = ["csv"]
-        if cfg.image_format == "pgm16" and not problem.dims.is_1d:
-            image_formats.append("pgm16")
-        for name, values in (
-            ("m_est", state.model),
-            ("m1", sparse_part),
-            ("m2", smooth_part),
-        ):
-            for fmt in image_formats:
-                suffix = "csv" if fmt == "csv" else "pgm"
-                target = mode_dir / f"{name}.{suffix}"
-                written.append(target)
-                if fmt == "pgm16":
-                    written.append(Path(f"{target}.range.txt"))
-                write_image(values, problem.dims, target, fmt)
-        noise_path = mode_dir / "e_est.csv"
-        written.append(noise_path)
-        with open(noise_path, "w") as fh:
-            for value in state.noise:
-                fh.write(_fmt(value) + "\n")
+        smooth_part = integrate_smooth_gradient(state.smooth_grad, dims)
+        parts = {"m_est": state.model, "m1": state.model - smooth_part, "m2": smooth_part}
+        for (name, fmt), path in images.items():
+            write_image(parts[name], dims, path, fmt)
+        # one value per line: the noise lives in data space, not on the grid
+        _write_csv(state.noise[:, None], noise_path)
 
         final = history[-1]
         stable = first_stable_iteration(history, solver_cfg.rel_change_tol)
-        summary_path = mode_dir / "summary.txt"
-        written.append(summary_path)
         with open(summary_path, "w") as fh:
             fields = [
                 f"mode={mode}",
@@ -542,16 +527,12 @@ def _run_one_mode(problem: TestProblem, cfg: ExperimentConfig, mode: str, mode_d
                 "smooth gradient component; m1 = m_est - m2\n"
             )
     except BaseException:
-        # do not leave partial outputs behind
-        for target in written:
-            try:
+        # leave no output of this mode behind
+        for target in outputs:
+            with contextlib.suppress(OSError):
                 target.unlink(missing_ok=True)
-            except OSError:
-                pass
-        try:
+        with contextlib.suppress(OSError):
             mode_dir.rmdir()
-        except OSError:
-            pass
         raise
 
 
@@ -562,7 +543,10 @@ def run_experiment(cfg: ExperimentConfig, out_override: str | None = None) -> Pa
     multi-run experiments).  Returns the output root used.
     """
     out_dir = _resolve_out_dir(cfg, out_override)
-    for sublabel, problem in build_problems(cfg):
+    # the builders own the size and shape checks
+    with _config_errors():
+        problems = build_problems(cfg)
+    for sublabel, problem in problems:
         base = out_dir / sublabel if sublabel else out_dir
         for mode in cfg.modes:
             _run_one_mode(problem, cfg, mode, base / mode)
@@ -605,7 +589,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.max_iter is not None:
-            with _solver_errors():
+            with _config_errors():
                 overrides["solver"] = dataclasses.replace(cfg.solver, max_iter=args.max_iter)
         if args.mode:
             overrides["modes"] = tuple(dict.fromkeys(args.mode))

@@ -23,6 +23,8 @@ from .operators import (
 __all__ = [
     "TestProblem",
     "synthetic_problem",
+    "SIGNAL_KINDS",
+    "PHANTOM_KINDS",
     "make_test_signal",
     "make_phantom",
     "make_dix_problem",
@@ -100,6 +102,16 @@ def _ramp(t: np.ndarray) -> np.ndarray:
     return _RAMP_HEIGHT * frac
 
 
+# kind -> signal of t, in the order of the cs_1d runs (it fixes their noise seeds)
+_SIGNALS = {
+    "smooth": _smooth,
+    "piecewise_smooth": lambda t: _blocky(t) + _smooth(t),
+    "blocky": _blocky,
+    "mixed": lambda t: _blocky(t) + _smooth(t) + _ramp(t),
+}
+SIGNAL_KINDS = tuple(_SIGNALS)
+
+
 def make_test_signal(kind: str, n: int) -> np.ndarray:
     """Length ``n`` test signal of the requested structure.
 
@@ -109,16 +121,9 @@ def make_test_signal(kind: str, n: int) -> np.ndarray:
     """
     if n < 16:
         raise ValueError("test signals need n >= 16")
-    t = (np.arange(n) + 0.5) / n
-    if kind == "smooth":
-        return _smooth(t)
-    if kind == "blocky":
-        return _blocky(t)
-    if kind == "piecewise_smooth":
-        return _blocky(t) + _smooth(t)
-    if kind == "mixed":
-        return _blocky(t) + _smooth(t) + _ramp(t)
-    raise ValueError(f"unknown signal kind: {kind!r}")
+    if kind not in _SIGNALS:
+        raise ValueError(f"unknown signal kind: {kind!r}")
+    return _SIGNALS[kind]((np.arange(n) + 0.5) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +154,7 @@ def _phantom_grid(dims: GridDims):
 
 
 def ellipse_mask(xx, yy, a, b, x0, y0, angle_deg):
-    """Membership test for a rotated ellipse; shared by the phantom builders
-    and their oracles."""
+    """Membership test for a rotated ellipse, the head phantom's building block."""
     ct = np.cos(np.deg2rad(angle_deg))
     st = np.sin(np.deg2rad(angle_deg))
     xr = (xx - x0) * ct + (yy - y0) * st
@@ -160,6 +164,38 @@ def ellipse_mask(xx, yy, a, b, x0, y0, angle_deg):
 
 def _disc(xx, yy, x0, y0, radius):
     return (xx - x0) ** 2 + (yy - y0) ** 2 <= radius**2
+
+
+def _shepp_logan(xx, yy):
+    return sum(value * ellipse_mask(xx, yy, *ellipse) for value, *ellipse in _HEAD_ELLIPSES)
+
+
+def _piecewise_smooth_2d(xx, yy):
+    img = 0.3 + 0.45 * np.cos(np.pi * np.hypot(xx, yy) / 1.6)
+    # mid-scale ripple keeps the smooth field's information spread over
+    # more than one length scale
+    img += 0.06 * np.cos(4.0 * np.pi * xx) * np.cos(4.0 * np.pi * yy)
+    img += 0.75 * _disc(xx, yy, -0.4, 0.35, 0.28)
+    img -= 0.45 * _disc(xx, yy, 0.35, 0.4, 0.2)
+    img += 0.6 * ((xx >= -0.1) & (xx <= 0.45) & (yy >= -0.6) & (yy <= -0.15))
+    img -= 0.5 * _disc(xx, yy, 0.45, -0.55, 0.12)
+    return img
+
+
+def _smooth_blob_mix(xx, yy):
+    img = 0.8 * np.exp(-((xx + 0.3) ** 2 + (yy + 0.2) ** 2) / 0.18)
+    img += 0.5 * np.exp(-((xx - 0.45) ** 2 + (yy + 0.45) ** 2) / 0.05)
+    img += 0.7 * _disc(xx, yy, 0.25, 0.35, 0.22)
+    img += 0.5 * _disc(xx, yy, -0.35, 0.52, 0.15)
+    return img
+
+
+_PHANTOMS = {
+    "piecewise_smooth_2d": _piecewise_smooth_2d,
+    "shepp_logan": _shepp_logan,
+    "smooth_blob_mix": _smooth_blob_mix,
+}
+PHANTOM_KINDS = tuple(_PHANTOMS)
 
 
 def make_phantom(kind: str, dims: GridDims) -> np.ndarray:
@@ -172,29 +208,9 @@ def make_phantom(kind: str, dims: GridDims) -> np.ndarray:
     """
     if dims.is_1d or dims.nz < 16 or dims.nx < 16:
         raise ValueError("phantoms need a 2-d grid with nz, nx >= 16")
-    xx, yy = _phantom_grid(dims)
-
-    if kind == "shepp_logan":
-        img = np.zeros_like(xx)
-        for value, a, b, x0, y0, ang in _HEAD_ELLIPSES:
-            img += value * ellipse_mask(xx, yy, a, b, x0, y0, ang)
-    elif kind == "piecewise_smooth_2d":
-        img = 0.3 + 0.45 * np.cos(np.pi * np.hypot(xx, yy) / 1.6)
-        # mid-scale ripple keeps the smooth field's information spread over
-        # more than one length scale
-        img += 0.06 * np.cos(4.0 * np.pi * xx) * np.cos(4.0 * np.pi * yy)
-        img += 0.75 * _disc(xx, yy, -0.4, 0.35, 0.28)
-        img -= 0.45 * _disc(xx, yy, 0.35, 0.4, 0.2)
-        img += 0.6 * ((xx >= -0.1) & (xx <= 0.45) & (yy >= -0.6) & (yy <= -0.15))
-        img -= 0.5 * _disc(xx, yy, 0.45, -0.55, 0.12)
-    elif kind == "smooth_blob_mix":
-        img = 0.8 * np.exp(-((xx + 0.3) ** 2 + (yy + 0.2) ** 2) / 0.18)
-        img += 0.5 * np.exp(-((xx - 0.45) ** 2 + (yy + 0.45) ** 2) / 0.05)
-        img += 0.7 * _disc(xx, yy, 0.25, 0.35, 0.22)
-        img += 0.5 * _disc(xx, yy, -0.35, 0.52, 0.15)
-    else:
+    if kind not in _PHANTOMS:
         raise ValueError(f"unknown phantom kind: {kind!r}")
-    return dims.to_vector(img)
+    return dims.to_vector(_PHANTOMS[kind](*_phantom_grid(dims)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +268,8 @@ def _resolve_picks(n, pick_fraction, pick_indices, seed):
     else:
         if not 0.0 < pick_fraction <= 1.0:
             raise ValueError("pick_fraction must lie in (0, 1]")
-        window = max(1, int(round(1.0 / pick_fraction)))
+        # a window longer than the line would place its one pick past the end
+        window = min(n, max(1, int(round(1.0 / pick_fraction))))
         count = max(1, n // window)
         rng = np.random.default_rng(seed)
         picks = np.arange(count) * window + rng.integers(0, window, size=count) + 1

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,9 @@ from tikhtv.cli import (
     EXPERIMENTS,
     HISTORY_HEADER,
     ConfigError,
+    ExperimentConfig,
     _fmt,
+    _write_csv,
     admm_config_for,
     build_problems,
     format_history_row,
@@ -203,6 +206,58 @@ def test_shipped_configs_resolve_to_pinned_solver_settings(path):
         }
 
 
+BENCH_WORKLOADS = CONFIG_DIR.parent / "bench" / "workloads.py"
+
+# The non-solver settings each shipped config and benchmark workload resolves
+# to, which the benchmark's set-up depends on.  A field an entry leaves out is
+# one its experiment does not take.
+GLOBAL_SETTINGS = dict(seed=0, epsilon_scale=1.0, image_format="pgm16", out=None)
+ALL_MODES = ("combined", "tv_only", "tikhonov_only")
+CS_1D = dict(experiment="cs_1d", modes=("combined",), noise_level=0.001, noise_reference="data_norm",
+             n=1024, m_rows=250, signal="all")
+DIX_2D = dict(experiment="dix_2d", modes=("combined",), noise_level=0.001, noise_reference="data_norm",
+              nz=96, nx=128, trace_fraction=0.3)
+XRAY_LIMITED = dict(experiment="xray_limited", modes=ALL_MODES, noise_level=0.001, noise_reference="data_norm",
+                    nz=128, nx=128, phantom="smooth_blob_mix", n_angles=85, n_rays=181,
+                    angle_min=-42.0, angle_max=42.0, angle_endpoint="auto")
+DENOISE_2D = dict(experiment="denoise_2d", modes=ALL_MODES, noise_level=0.3, noise_reference="model_norm",
+                  nz=256, nx=256, phantom="piecewise_smooth_2d")
+PINNED_PROBLEM_SETTINGS = {
+    "configs/cs_1d": CS_1D,
+    "configs/decompose_2d": dict(experiment="decompose_2d", modes=("combined",), noise_level=0.0,
+                                 noise_reference="model_norm", nz=256, nx=256, phantom="piecewise_smooth_2d"),
+    "configs/denoise_2d": DENOISE_2D,
+    "configs/dix_1d": dict(experiment="dix_1d", modes=("combined",), noise_level=0.001,
+                           noise_reference="data_norm", n=512, pick_fraction=0.25),
+    "configs/dix_2d": DIX_2D,
+    "configs/xray_full": dict(experiment="xray_full", modes=ALL_MODES, noise_level=0.01, noise_reference="data_norm",
+                              nz=128, nx=128, phantom="shepp_logan", n_angles=90, n_rays=181,
+                              angle_min=-90.0, angle_max=90.0, angle_endpoint="auto"),
+    "configs/xray_limited": XRAY_LIMITED,
+    "bench/denoise": {**DENOISE_2D, "modes": ("combined",)},
+    "bench/tomo_limited": {**XRAY_LIMITED, "modes": ("combined",)},
+    "bench/dix_2d": DIX_2D,
+    "bench/cs_1d": CS_1D,
+}
+
+
+def test_shipped_and_benchmark_configs_resolve_to_pinned_problem_settings():
+    # the benchmark's set-up parses these texts; the file is read, not imported
+    workloads = runpy.run_path(str(BENCH_WORKLOADS))["WORKLOADS"]
+    sources = {f"configs/{path.stem}": path.read_text() for path in sorted(CONFIG_DIR.glob("*.cfg"))}
+    sources.update({f"bench/{name}": workload.config for name, workload in workloads.items()})
+    assert set(sources) == set(PINNED_PROBLEM_SETTINGS)
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)} - {"solver"}
+    for source, text in sources.items():
+        cfg = parse_config_text(text, source=source)
+        expected = {**GLOBAL_SETTINGS, **PINNED_PROBLEM_SETTINGS[source]}
+        assert {name: getattr(cfg, name) for name in expected} == expected, source
+        # no config for this experiment can set any other field
+        for name in fields - set(expected):
+            with pytest.raises(ConfigError, match="does not apply"):
+                parse_config_text(f"experiment = {cfg.experiment}\n{name} = {PROBLEM_KEYS[name][0]}\n")
+
+
 # every solver key: (config text, the value it must resolve to), none a default
 EVERY_SOLVER_KEY = {
     "split_weight": ("12.5", 12.5),
@@ -347,6 +402,13 @@ def test_write_image_csv_bytes_match_per_value_format(tmp_path):
     write_image(values, dims, path, "csv")
     want = "".join(",".join(_fmt(v) for v in row) + "\n" for row in dims.to_grid(values))
     assert path.read_bytes() == want.encode("ascii")
+
+    # a 65536 x 1 column, as e_est.csv is written, spans several blocks
+    column = np.random.default_rng(5).standard_normal(65536) * np.logspace(-300, 300, 65536)
+    column[: values.size] = values
+    path = tmp_path / "column.csv"
+    _write_csv(column[:, None], path)
+    assert path.read_bytes() == "".join(_fmt(v) + "\n" for v in column).encode("ascii")
 
 
 def test_write_image_rejects_unknown_format(tmp_path):
@@ -596,6 +658,72 @@ def test_in_sweep_failures_raise_divergence_naming_the_iteration(monkeypatch):
     _, problem = build_problems(cfg)[0]
     with pytest.raises(DivergenceError, match="noise update at iteration 1"):
         admm_run(problem, admm_config_for(cfg, problem, "combined"))
+
+
+# sizes the problem builders reject; the parser leaves them to the builders
+BUILDER_REJECTED = {
+    "cs_1d_n8": "experiment = cs_1d\nn = 8\n",
+    "denoise_2d_nz1": "experiment = denoise_2d\nnz = 1\nnx = 8\n",
+    "dix_2d_nx4": "experiment = dix_2d\nnz = 12\nnx = 4\n",
+    "xray_full_8x8": "experiment = xray_full\nnz = 8\nnx = 8\n",
+    "dix_1d_n1": "experiment = dix_1d\nn = 1\n",
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(BUILDER_REJECTED))
+def test_solve_reports_builder_size_checks_as_config_errors(tmp_path, capsys, name, seed):
+    code, out = run_mini(tmp_path, text=BUILDER_REJECTED[name] + "max_iter = 2\n", extra_args=("--seed", str(seed)))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# fractions below one pick per line: the line holds one pick window
+SPARSE_PICKS = {
+    "dix_1d": "experiment = dix_1d\nn = 512\npick_fraction = 0.001\n",
+    "dix_2d": "experiment = dix_2d\ntrace_fraction = 0.005\n",
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(SPARSE_PICKS))
+def test_solve_runs_pick_fractions_below_one_per_line(tmp_path, capsys, name, seed):
+    code, out = run_mini(tmp_path, text=SPARSE_PICKS[name] + "max_iter = 2\n", extra_args=("--seed", str(seed)))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "combined" / "summary.txt").exists()
+
+
+def test_one_pick_dix_run_writes_a_one_line_noise_csv(tmp_path):
+    code, out = run_mini(tmp_path, text="experiment = dix_1d\nn = 512\npick_fraction = 0.003\nmax_iter = 3\n")
+    assert code == 0
+    lines = (out / "combined" / "e_est.csv").read_text().splitlines()
+    assert len(lines) == 1
+    assert np.isfinite(float(lines[0]))
+
+
+# a run that succeeds, then one into the same directory that diverges
+FAILED_RERUNS = {
+    "dix_1d": ("experiment = dix_1d\nmax_iter = 3\n", SWEEP_OVERFLOW["dix_1d_in_sweep"]),
+    "denoise_2d": ("experiment = denoise_2d\nnz = 16\nnx = 16\nmax_iter = 3\n", NON_FINITE_NOISE["denoise_2d"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(FAILED_RERUNS))
+def test_failed_rerun_leaves_no_mode_directory(tmp_path, capsys, name):
+    first, rerun = FAILED_RERUNS[name]
+    code, out = run_mini(tmp_path, text=first)
+    assert code == 0
+    assert (out / "combined" / "history.csv").exists()
+    code, _ = run_mini(tmp_path, name="rerun.cfg", text=rerun)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("solver diverged:")
+    assert not (out / "combined").exists()
 
 
 def test_cli_overrides_are_validated(tmp_path, capsys):
