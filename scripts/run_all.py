@@ -2,8 +2,9 @@
 
 Usage: python3 scripts/run_all.py [--out DIR] [--only NAME ...]
 
-The full set takes on the order of half an hour; --only picks a subset by
-config stem (cs_1d, denoise_2d, decompose_2d, dix_1d, dix_2d, xray_full,
+On one BLAS thread of a 2-core VM the full set takes about three minutes,
+two and a half of them in xray_limited; --only picks a subset by config
+stem (cs_1d, denoise_2d, decompose_2d, dix_1d, dix_2d, xray_full,
 xray_limited).
 """
 import argparse

@@ -121,7 +121,6 @@ class AdmmState:
     dual_data: np.ndarray
     dual_budget: float
     balance: float
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,6 @@ def initial_state(problem: TestProblem, cfg: AdmmConfig) -> AdmmState:
         dual_data=np.zeros(problem.operator.rows),
         dual_budget=0.0,
         balance=cfg.initial_balance,
-        iteration=0,
     )
 
 
@@ -420,7 +418,6 @@ def admm_run(
         if truth_norm:
             rel_error = float(np.linalg.norm(state.model - problem.true_model)) / truth_norm
 
-        state.iteration = k
         record = IterationRecord(
             iteration=k,
             discrepancy=float(resid @ resid),

@@ -33,6 +33,7 @@ from .admm import (
 from .kernels import CgSettings, neumann_solve
 from .operators import GridDims, identity, make_derivative_operator, make_gaussian_sensing, make_radon
 from .problems import (
+    NOISE_REFERENCES,
     PHANTOM_KINDS,
     SIGNAL_KINDS,
     TestProblem,
@@ -46,6 +47,7 @@ from .problems import (
 __all__ = [
     "EXPERIMENTS",
     "HISTORY_HEADER",
+    "IMAGE_FORMATS",
     "OUTPUT_ROOT_ENV",
     "ConfigError",
     "ExperimentConfig",
@@ -61,6 +63,9 @@ __all__ = [
 ]
 
 HISTORY_HEADER = "iter,discrepancy,constraint_gap,beta,phi,rel_change,rel_error,cg_iters"
+
+# The formats write_image writes.
+IMAGE_FORMATS = ("pgm16", "csv")
 
 # Environment variable naming the default output root directory.
 OUTPUT_ROOT_ENV = "TIKHTV_OUT"
@@ -86,7 +91,6 @@ class ExperimentConfig:
     modes: tuple[str, ...]
     epsilon_scale: float
     image_format: str
-    out: str | None
     noise_level: float
     noise_reference: str
     solver: AdmmConfig
@@ -102,7 +106,6 @@ class ExperimentConfig:
     n_rays: int | None = None
     angle_min: float | None = None
     angle_max: float | None = None
-    angle_endpoint: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +174,9 @@ _SCHEMA = {
     "seed": _parse_int,
     "modes": _parse_modes,
     "epsilon_scale": _parse_float,
-    "image_format": lambda raw: _parse_choice(raw, ("pgm16", "csv")),
-    "out": str,
+    "image_format": lambda raw: _parse_choice(raw, IMAGE_FORMATS),
     "noise_level": _parse_float,
-    "noise_reference": lambda raw: _parse_choice(raw, ("data_norm", "model_norm")),
+    "noise_reference": lambda raw: _parse_choice(raw, NOISE_REFERENCES),
     "n": _parse_int,
     "m_rows": _parse_int,
     "signal": lambda raw: _parse_choice(raw, ("all",) + SIGNAL_KINDS),
@@ -187,7 +189,6 @@ _SCHEMA = {
     "n_rays": _parse_int,
     "angle_min": _parse_float,
     "angle_max": _parse_float,
-    "angle_endpoint": lambda raw: _parse_choice(raw, ("auto", "true", "false")),
 }
 
 # the solver keys default to the AdmmConfig/CgSettings defaults
@@ -196,7 +197,6 @@ _GLOBAL_DEFAULTS = dict(
     modes=("combined",),
     epsilon_scale=1.0,
     image_format="pgm16",
-    out=None,
     noise_reference="data_norm",
 )
 
@@ -223,12 +223,12 @@ _EXPERIMENT_DEFAULTS = {
     ),
     "xray_full": dict(
         nz=128, nx=128, phantom="shepp_logan", n_angles=90, n_rays=181,
-        angle_min=-90.0, angle_max=90.0, angle_endpoint="auto", noise_level=0.01,
+        angle_min=-90.0, angle_max=90.0, noise_level=0.01,
         max_iter=500, run_to_max_iter=False,
     ),
     "xray_limited": dict(
         nz=128, nx=128, phantom="smooth_blob_mix", n_angles=85, n_rays=181,
-        angle_min=-42.0, angle_max=42.0, angle_endpoint="auto", noise_level=0.001,
+        angle_min=-42.0, angle_max=42.0, noise_level=0.001,
         max_iter=600, run_to_max_iter=True,
     ),
     "decompose_2d": dict(
@@ -355,10 +355,8 @@ def build_problems(cfg: ExperimentConfig) -> list[tuple[str | None, TestProblem]
     else:  # xray_full / xray_limited
         dims = GridDims(cfg.nz, cfg.nx)
         truth = make_phantom(cfg.phantom, dims)
-        if cfg.angle_endpoint == "auto":
-            endpoint = (cfg.angle_max - cfg.angle_min) < 180.0
-        else:
-            endpoint = cfg.angle_endpoint == "true"
+        # -90 and +90 degrees are the same rays: a 180-degree span leaves out angle_max
+        endpoint = (cfg.angle_max - cfg.angle_min) < 180.0
         angles = np.linspace(cfg.angle_min, cfg.angle_max, cfg.n_angles, endpoint=endpoint)
         operator = make_radon(dims, cfg.n_rays, angles)
         clean = [(None, synthetic_problem(operator, truth, dims, seed, cfg.experiment))]
@@ -430,13 +428,13 @@ def write_image(model, dims: GridDims, path, image_format: str) -> None:
     [0, 65535] (a constant image maps to zeros), with the data range stored
     in ``<path>.range.txt``.
     """
+    if image_format not in IMAGE_FORMATS:
+        raise ValueError(f"unknown image format: {image_format!r}")
     grid = dims.to_grid(np.asarray(model, dtype=float))
     path = Path(path)
     if image_format == "csv":
         _write_csv(grid, path)
         return
-    if image_format != "pgm16":
-        raise ValueError(f"unknown image format: {image_format!r}")
     lo = float(grid.min())
     hi = float(grid.max())
     if hi > lo:
@@ -469,12 +467,7 @@ def integrate_smooth_gradient(smooth_grad, dims: GridDims) -> np.ndarray:
 def _resolve_out_dir(cfg: ExperimentConfig, override: str | None) -> Path:
     if override:
         return Path(override)
-    if cfg.out:
-        return Path(cfg.out)
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root:
-        return Path(root) / cfg.experiment
-    return Path("runs") / cfg.experiment
+    return Path(os.environ.get(OUTPUT_ROOT_ENV) or "runs") / cfg.experiment
 
 
 def _run_one_mode(problem: TestProblem, cfg: ExperimentConfig, mode: str, mode_dir: Path) -> None:
@@ -572,7 +565,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     solve = sub.add_parser("solve", help="run an experiment config")
     solve.add_argument("config", help="path to a key = value config file")
-    solve.add_argument("--out", help="output directory (overrides config and environment)")
+    solve.add_argument("--out", help="output directory (overrides the environment)")
     solve.add_argument("--seed", type=int, help="override the config seed")
     solve.add_argument("--max-iter", type=int, dest="max_iter", help="override the iteration cap")
     solve.add_argument(

@@ -168,11 +168,11 @@ def identity(n: int) -> LinearOperator:
 
 
 # ---------------------------------------------------------------------------
-# First/second difference stencils.
+# First-difference stencils.
 #
 # The first difference along an axis maps x to (x[1]-x[0], ..., x[n-1]-x[n-2],
-# 0); the final row is identically zero so the operator is square.  All
-# higher operators are built from this stencil.
+# 0); the final row is identically zero so the operator is square.  Both
+# derivative operators are built from this stencil.
 
 
 def _diff(v: np.ndarray, out: np.ndarray) -> None:
@@ -196,7 +196,7 @@ def make_derivative_operator(kind: str, dims: GridDims) -> LinearOperator:
 
     Parameters
     ----------
-    kind : {"grad", "second_derivative", "component_grad"}
+    kind : {"grad", "component_grad"}
         ``grad`` is the first-order forward difference, the
         ``grad_len x n`` stacked gradient of :class:`GridDims` (in 1-d an
         ``n x n`` map whose last row is zero).
@@ -204,7 +204,6 @@ def make_derivative_operator(kind: str, dims: GridDims) -> LinearOperator:
         stacked gradient vector along that block's own axis (equal to
         ``grad`` in 1-d, block-diagonal in 2-d, so it maps gradient space to
         gradient space).
-        ``second_derivative`` is the composition ``component_grad * grad``.
     dims : GridDims
 
     Notes
@@ -212,12 +211,6 @@ def make_derivative_operator(kind: str, dims: GridDims) -> LinearOperator:
     Only the zero-last-row boundary stencil is provided; all operators are
     applied matrix-free.
     """
-    if kind == "second_derivative":
-        return compose(
-            make_derivative_operator("component_grad", dims),
-            make_derivative_operator("grad", dims),
-            label=f"second-difference({_dims_tag(dims)})",
-        )
     if kind not in ("grad", "component_grad"):
         raise ValueError(f"unknown derivative kind: {kind!r}")
 

@@ -28,8 +28,8 @@ __all__ = [
     "make_test_signal",
     "make_phantom",
     "make_dix_problem",
+    "NOISE_REFERENCES",
     "add_noise",
-    "metrics",
 ]
 
 
@@ -221,19 +221,17 @@ def make_phantom(kind: str, dims: GridDims) -> np.ndarray:
 # model.  Picks subsample the integrated data.
 
 
-def make_dix_problem(interval_velocity, pick_fraction=None, pick_indices=None, seed: int = 0) -> TestProblem:
+def make_dix_problem(interval_velocity, pick_fraction: float, seed: int = 0) -> TestProblem:
     """Noiseless Dix inversion problem from interval velocities.
 
     A 1-d velocity gives operator ``picks * running-sum``; a 2-d velocity
     field (nz x nx, one trace per column) gives ``trace-picks (x)
-    running-sum`` with the picks selecting whole traces.  Exactly one of
-    ``pick_fraction``/``pick_indices`` must be given; fractional picks are
-    drawn one per window of width 1/fraction (regular picking with seeded
-    jitter, the way stacking velocities are picked at roughly even times).
+    running-sum`` with the picks selecting whole traces.  Picks are drawn
+    one per window of width 1/pick_fraction (regular picking with seeded
+    jitter, the way stacking velocities are picked at roughly even times),
+    so ``pick_fraction=1.0`` picks every sample or trace.
     """
     v = np.asarray(interval_velocity, dtype=float)
-    if (pick_fraction is None) == (pick_indices is None):
-        raise ValueError("give exactly one of pick_fraction or pick_indices")
     if np.any(v <= 0.0):
         raise ValueError("interval velocities must be positive")
 
@@ -241,7 +239,7 @@ def make_dix_problem(interval_velocity, pick_fraction=None, pick_indices=None, s
         n = v.size
         dims = GridDims(n, 1)
         model = v**2
-        picks = _resolve_picks(n, pick_fraction, pick_indices, seed)
+        picks = _picks(n, pick_fraction, seed)
         operator = compose(
             make_subsampler(picks, n),
             make_causal_integration(n),
@@ -251,7 +249,7 @@ def make_dix_problem(interval_velocity, pick_fraction=None, pick_indices=None, s
         nz, nx = v.shape
         dims = GridDims(nz, nx)
         model = dims.to_vector(v**2)
-        picks = _resolve_picks(nx, pick_fraction, pick_indices, seed)
+        picks = _picks(nx, pick_fraction, seed)
         operator = kron_operator(
             make_subsampler(picks, nx),
             make_causal_integration(nz),
@@ -262,22 +260,21 @@ def make_dix_problem(interval_velocity, pick_fraction=None, pick_indices=None, s
     return synthetic_problem(operator, model, dims, seed, f"dix_{v.ndim}d")
 
 
-def _resolve_picks(n, pick_fraction, pick_indices, seed):
-    if pick_indices is not None:
-        picks = np.asarray(pick_indices, dtype=int).ravel()
-    else:
-        if not 0.0 < pick_fraction <= 1.0:
-            raise ValueError("pick_fraction must lie in (0, 1]")
-        # a window longer than the line would place its one pick past the end
-        window = min(n, max(1, int(round(1.0 / pick_fraction))))
-        count = max(1, n // window)
-        rng = np.random.default_rng(seed)
-        picks = np.arange(count) * window + rng.integers(0, window, size=count) + 1
-    return picks
+def _picks(n, pick_fraction, seed):
+    if not 0.0 < pick_fraction <= 1.0:
+        raise ValueError("pick_fraction must lie in (0, 1]")
+    # a window longer than the line would place its one pick past the end
+    window = min(n, max(1, int(round(1.0 / pick_fraction))))
+    count = max(1, n // window)
+    rng = np.random.default_rng(seed)
+    return np.arange(count) * window + rng.integers(0, window, size=count) + 1
 
 
 # ---------------------------------------------------------------------------
-# Noise injection and error reporting.
+# Noise injection.
+
+# What the noise norm is measured against: the clean data or the true model.
+NOISE_REFERENCES = ("data_norm", "model_norm")
 
 
 def add_noise(problem: TestProblem, level: float, reference: str = "data_norm", seed: int = 0) -> TestProblem:
@@ -293,7 +290,7 @@ def add_noise(problem: TestProblem, level: float, reference: str = "data_norm", 
         raise ValueError("add_noise needs a problem with a true model")
     if level < 0.0:
         raise ValueError("noise level must be non-negative")
-    if reference not in ("data_norm", "model_norm"):
+    if reference not in NOISE_REFERENCES:
         raise ValueError(f"unknown noise reference: {reference!r}")
 
     clean = problem.data if problem.true_noise is None else problem.operator.forward(problem.true_model)
@@ -311,17 +308,3 @@ def add_noise(problem: TestProblem, level: float, reference: str = "data_norm", 
         energy = float(noise @ noise)
     return replace(problem, data=data, true_noise=noise, noise_energy=energy)
 
-
-def metrics(estimate, truth, operator: LinearOperator, data) -> tuple[float, float]:
-    """Relative model error and squared data discrepancy.
-
-    Returns ``(||est - true|| / ||true||, ||A est - d||^2)``.
-    """
-    estimate = np.asarray(estimate, dtype=float).ravel()
-    truth = np.asarray(truth, dtype=float).ravel()
-    denom = float(np.linalg.norm(truth))
-    if denom == 0.0:
-        raise ValueError("metrics needs a non-zero true model")
-    rel_error = float(np.linalg.norm(estimate - truth)) / denom
-    resid = operator.forward(estimate) - np.asarray(data, dtype=float).ravel()
-    return rel_error, float(resid @ resid)

@@ -115,7 +115,6 @@ def test_initial_state_zeroes():
     assert not state.dual_split.any()
     assert state.dual_budget == 0.0
     assert state.balance == 4.0
-    assert state.iteration == 0
 
 
 # ---------------------------------------------------------------------------

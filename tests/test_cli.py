@@ -31,7 +31,7 @@ from tikhtv.cli import (
     write_image,
 )
 from tikhtv.kernels import CgSettings
-from tikhtv.operators import GridDims, make_derivative_operator
+from tikhtv.operators import GridDims, identity, make_derivative_operator
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +72,12 @@ def test_parse_comments_blanks_and_overrides():
 
 
 def test_parse_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_text("experiment = cs_1d\nnumber_of_angles = 4\n")
+    # --out or $TIKHTV_OUT choose the output directory, and the angle span
+    # alone decides whether angle_max is an angle
+    for line in ("number_of_angles = 4", "out = runs/elsewhere", "angle_endpoint = true"):
+        for experiment in ("cs_1d", "xray_full"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config_text(f"experiment = {experiment}\n{line}\n")
 
 
 def test_parse_rejects_duplicate_key():
@@ -96,7 +100,6 @@ PROBLEM_KEYS = {
     "n_rays": ("11", 11, ("xray_full", "xray_limited")),
     "angle_min": ("-40", -40.0, ("xray_full", "xray_limited")),
     "angle_max": ("40", 40.0, ("xray_full", "xray_limited")),
-    "angle_endpoint": ("true", "true", ("xray_full", "xray_limited")),
 }
 
 
@@ -211,7 +214,7 @@ BENCH_WORKLOADS = CONFIG_DIR.parent / "bench" / "workloads.py"
 # The non-solver settings each shipped config and benchmark workload resolves
 # to, which the benchmark's set-up depends on.  A field an entry leaves out is
 # one its experiment does not take.
-GLOBAL_SETTINGS = dict(seed=0, epsilon_scale=1.0, image_format="pgm16", out=None)
+GLOBAL_SETTINGS = dict(seed=0, epsilon_scale=1.0, image_format="pgm16")
 ALL_MODES = ("combined", "tv_only", "tikhonov_only")
 CS_1D = dict(experiment="cs_1d", modes=("combined",), noise_level=0.001, noise_reference="data_norm",
              n=1024, m_rows=250, signal="all")
@@ -219,7 +222,7 @@ DIX_2D = dict(experiment="dix_2d", modes=("combined",), noise_level=0.001, noise
               nz=96, nx=128, trace_fraction=0.3)
 XRAY_LIMITED = dict(experiment="xray_limited", modes=ALL_MODES, noise_level=0.001, noise_reference="data_norm",
                     nz=128, nx=128, phantom="smooth_blob_mix", n_angles=85, n_rays=181,
-                    angle_min=-42.0, angle_max=42.0, angle_endpoint="auto")
+                    angle_min=-42.0, angle_max=42.0)
 DENOISE_2D = dict(experiment="denoise_2d", modes=ALL_MODES, noise_level=0.3, noise_reference="model_norm",
                   nz=256, nx=256, phantom="piecewise_smooth_2d")
 PINNED_PROBLEM_SETTINGS = {
@@ -232,7 +235,7 @@ PINNED_PROBLEM_SETTINGS = {
     "configs/dix_2d": DIX_2D,
     "configs/xray_full": dict(experiment="xray_full", modes=ALL_MODES, noise_level=0.01, noise_reference="data_norm",
                               nz=128, nx=128, phantom="shepp_logan", n_angles=90, n_rays=181,
-                              angle_min=-90.0, angle_max=90.0, angle_endpoint="auto"),
+                              angle_min=-90.0, angle_max=90.0),
     "configs/xray_limited": XRAY_LIMITED,
     "bench/denoise": {**DENOISE_2D, "modes": ("combined",)},
     "bench/tomo_limited": {**XRAY_LIMITED, "modes": ("combined",)},
@@ -298,6 +301,23 @@ def test_build_problems_sublabels():
     assert [label for label, _ in runs] == ["smooth", "piecewise_smooth", "blocky", "mixed"]
     single = build_problems(parse_config_text("experiment = cs_1d\nn = 64\nm_rows = 32\nsignal = blocky\n"))
     assert [label for label, _ in single] == [None]
+
+
+@pytest.mark.parametrize("name,first,step,count", [("xray_full", -90.0, 2.0, 90), ("xray_limited", -42.0, 1.0, 85)])
+def test_build_problems_tomography_angles(name, first, step, count, monkeypatch):
+    # angle_max is an angle only when the span is under 180 degrees: -90 and
+    # +90 are the same rays, so the full span stops one step short of +90
+    captured = []
+
+    def capture_radon(dims, n_rays, angles):
+        captured.append(np.asarray(angles))
+        return identity(dims.n)
+
+    monkeypatch.setattr("tikhtv.cli.make_radon", capture_radon)
+    build_problems(parse_config_file(CONFIG_DIR / f"{name}.cfg"))
+    [angles] = captured
+    assert angles.shape == (count,)
+    assert np.allclose(angles, first + step * np.arange(count), rtol=0.0, atol=1e-12)
 
 
 def test_build_problems_deterministic():
