@@ -64,8 +64,8 @@ __all__ = [
 
 HISTORY_HEADER = "iter,discrepancy,constraint_gap,beta,phi,rel_change,rel_error,cg_iters"
 
-# The formats write_image writes.
-IMAGE_FORMATS = ("pgm16", "csv")
+# Each format write_image writes, with the file suffix a run gives it.
+IMAGE_FORMATS = {"pgm16": "pgm", "csv": "csv"}
 
 # Environment variable naming the default output root directory.
 OUTPUT_ROOT_ENV = "TIKHTV_OUT"
@@ -416,22 +416,17 @@ def _write_csv(values, path) -> None:
             fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _range_path(path) -> Path:
-    return Path(f"{path}.range.txt")
-
-
 def write_image(model, dims: GridDims, path, image_format: str) -> None:
-    """Write a model vector as an image file.
+    """Write a model vector as one image file.
 
     ``csv`` writes raw values row-major (one grid row per line).  ``pgm16``
     writes a binary 16-bit big-endian PGM scaled linearly from [min, max] to
-    [0, 65535] (a constant image maps to zeros), with the data range stored
-    in ``<path>.range.txt``.
+    [0, 65535] (a constant image maps to zeros), with the data range in two
+    header comment lines, ``# min=<v>`` and ``# max=<v>``.
     """
     if image_format not in IMAGE_FORMATS:
         raise ValueError(f"unknown image format: {image_format!r}")
     grid = dims.to_grid(np.asarray(model, dtype=float))
-    path = Path(path)
     if image_format == "csv":
         _write_csv(grid, path)
         return
@@ -442,10 +437,8 @@ def write_image(model, dims: GridDims, path, image_format: str) -> None:
     else:
         scaled = np.zeros_like(grid)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{dims.nx} {dims.nz}\n65535\n".encode("ascii"))
+        fh.write(f"P5\n# min={_fmt(lo)}\n# max={_fmt(hi)}\n{dims.nx} {dims.nz}\n65535\n".encode("ascii"))
         fh.write(scaled.astype(">u2").tobytes())
-    with open(_range_path(path), "w") as fh:
-        fh.write(f"min={_fmt(lo)}\nmax={_fmt(hi)}\n")
 
 
 def integrate_smooth_gradient(smooth_grad, dims: GridDims) -> np.ndarray:
@@ -470,19 +463,24 @@ def _resolve_out_dir(cfg: ExperimentConfig, override: str | None) -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV) or "runs") / cfg.experiment
 
 
+def _remove(paths) -> None:
+    for path in paths:
+        with contextlib.suppress(OSError):
+            path.unlink(missing_ok=True)
+
+
 def _run_one_mode(problem: TestProblem, cfg: ExperimentConfig, mode: str, mode_dir: Path) -> None:
     dims = problem.dims
-    formats = ("csv", "pgm16") if cfg.image_format == "pgm16" and not dims.is_1d else ("csv",)
-    suffix = {"csv": "csv", "pgm16": "pgm"}
-    images = {(name, fmt): mode_dir / f"{name}.{suffix[fmt]}" for name in ("m_est", "m1", "m2") for fmt in formats}
+    formats = ["csv"] if dims.is_1d or cfg.image_format == "csv" else ["csv", cfg.image_format]
     history_path, noise_path, summary_path = (mode_dir / name for name in ("history.csv", "e_est.csv", "summary.txt"))
-    # every file of the mode: a failed run removes them all, so that none
-    # from an earlier run into the same directory is left beside its summary
-    outputs = [history_path, noise_path, summary_path, *images.values()]
-    outputs += [_range_path(path) for (_, fmt), path in images.items() if fmt == "pgm16"]
+    # every file a mode writes in any format: a run removes them all before
+    # it writes and again if it fails, so none from an earlier run is left
+    outputs = [history_path, noise_path, summary_path]
+    outputs += [mode_dir / f"{name}.{suffix}" for name in ("m_est", "m1", "m2") for suffix in IMAGE_FORMATS.values()]
 
     mode_dir.mkdir(parents=True, exist_ok=True)
     try:
+        _remove(outputs)
         solver_cfg = admm_config_for(cfg, problem, mode)
         start = time.perf_counter()
         with open(history_path, "w") as fh:
@@ -496,8 +494,9 @@ def _run_one_mode(problem: TestProblem, cfg: ExperimentConfig, mode: str, mode_d
 
         smooth_part = integrate_smooth_gradient(state.smooth_grad, dims)
         parts = {"m_est": state.model, "m1": state.model - smooth_part, "m2": smooth_part}
-        for (name, fmt), path in images.items():
-            write_image(parts[name], dims, path, fmt)
+        for name, values in parts.items():
+            for fmt in formats:
+                write_image(values, dims, mode_dir / f"{name}.{IMAGE_FORMATS[fmt]}", fmt)
         # one value per line: the noise lives in data space, not on the grid
         _write_csv(state.noise[:, None], noise_path)
 
@@ -520,10 +519,7 @@ def _run_one_mode(problem: TestProblem, cfg: ExperimentConfig, mode: str, mode_d
                 "smooth gradient component; m1 = m_est - m2\n"
             )
     except BaseException:
-        # leave no output of this mode behind
-        for target in outputs:
-            with contextlib.suppress(OSError):
-                target.unlink(missing_ok=True)
+        _remove(outputs)
         with contextlib.suppress(OSError):
             mode_dir.rmdir()
         raise

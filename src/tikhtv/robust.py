@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "MAD_SCALE",
     "GradientStats",
-    "median",
     "mad",
     "gradient_stats",
     "update_balance",
@@ -32,15 +31,6 @@ _MAD_FLOOR = 1e-12
 # The balance is clamped below at this fraction of its previous value so it
 # stays strictly positive.
 _BALANCE_FLOOR = 1e-12
-
-
-def median(values) -> float:
-    """Middle element of the sorted data, mean of the two middle elements
-    for even length."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise ValueError("median of empty data")
-    return float(np.median(values))
 
 
 def mad(values) -> float:
@@ -67,7 +57,6 @@ class GradientStats:
     balance fixed point).
     """
 
-    median: float
     mad: float
     zscores: np.ndarray
     normal_mask: np.ndarray
@@ -97,7 +86,7 @@ def gradient_stats(grad, smooth_grad, zscore_threshold: float = 2.5) -> Gradient
     if not zscore_threshold > 0.0:
         raise ValueError("zscore_threshold must be positive")
 
-    mid = median(grad)
+    mid = float(np.median(grad))
     deviations = grad - mid
     spread = _scaled_median_abs(deviations)
     grad_inf = float(np.max(np.abs(grad)))
@@ -118,7 +107,6 @@ def gradient_stats(grad, smooth_grad, zscore_threshold: float = 2.5) -> Gradient
     smooth_max = float(np.max(np.abs(smooth_grad)))
 
     return GradientStats(
-        median=mid,
         mad=spread,
         zscores=z,
         normal_mask=mask,

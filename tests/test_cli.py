@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tikhtv
+import tikhtv.cli as cli
 from tikhtv.admm import AdmmConfig, DivergenceError, IterationRecord, admm_run
 from tikhtv.cli import (
     EXPERIMENTS,
@@ -378,27 +379,37 @@ def test_format_history_row_matches_column_order():
 # images
 
 
+def read_pgm16(path):
+    """The (min, max) range of a pgm16 file's header and its samples as
+    an nz x nx grid."""
+    magic, lo, hi, size, maxval, data = Path(path).read_bytes().split(b"\n", 5)
+    assert (magic, maxval) == (b"P5", b"65535")
+    assert lo.startswith(b"# min=") and hi.startswith(b"# max=")
+    nx, nz = map(int, size.split())
+    samples = np.frombuffer(data, dtype=">u2").reshape(nz, nx)
+    return float(lo[len("# min="):]), float(hi[len("# max="):]), samples
+
+
 def test_write_image_pgm16_frozen_bytes(tmp_path):
     path = tmp_path / "img.pgm"
     # vector is column-stacked: grid rows are [0, 2] and [1, 3]
     write_image(np.array([0.0, 1.0, 2.0, 3.0]), GridDims(2, 2), path, "pgm16")
     blob = path.read_bytes()
-    header = b"P5\n2 2\n65535\n"
+    header = b"P5\n# min=0\n# max=3\n2 2\n65535\n"
     assert blob.startswith(header)
     samples = np.frombuffer(blob[len(header):], dtype=">u2")
     assert samples.tolist() == [0, 43690, 21845, 65535]
-    sidecar = (tmp_path / "img.pgm.range.txt").read_text()
-    assert sidecar == "min=0\nmax=3\n"
+    # the range lives in the header: no other file is written
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_write_image_constant_is_zero(tmp_path):
     path = tmp_path / "flat.pgm"
     write_image(np.full(6, 4.25), GridDims(2, 3), path, "pgm16")
-    blob = path.read_bytes()
-    header = b"P5\n3 2\n65535\n"
-    samples = np.frombuffer(blob[len(header):], dtype=">u2")
+    lo, hi, samples = read_pgm16(path)
+    assert samples.shape == (2, 3)
     assert not samples.any()
-    assert (tmp_path / "flat.pgm.range.txt").read_text() == "min=4.25\nmax=4.25\n"
+    assert (lo, hi) == (4.25, 4.25)
 
 
 def test_write_image_csv_roundtrip(tmp_path):
@@ -531,10 +542,23 @@ def test_solve_2d_writes_pgm(tmp_path):
     code, out = run_mini(tmp_path, text=text)
     assert code == 0
     mode_dir = out / "combined"
-    for name in ("m_est", "m1", "m2"):
-        assert (mode_dir / f"{name}.csv").exists()
-        assert (mode_dir / f"{name}.pgm").exists()
-        assert (mode_dir / f"{name}.pgm.range.txt").exists()
+    assert sorted(path.name for path in mode_dir.iterdir()) == [
+        "e_est.csv", "history.csv", "m1.csv", "m1.pgm", "m2.csv", "m2.pgm", "m_est.csv", "m_est.pgm", "summary.txt",
+    ]
+
+
+def test_solve_2d_pgm_range_and_samples_rebuild_csv(tmp_path):
+    text = "experiment = decompose_2d\nnz = 16\nnx = 24\nmax_iter = 20\n"
+    code, out = run_mini(tmp_path, text=text)
+    assert code == 0
+    mode_dir = out / "combined"
+    lo, hi, samples = read_pgm16(mode_dir / "m_est.pgm")
+    m_est = np.loadtxt(mode_dir / "m_est.csv", delimiter=",")
+    assert samples.shape == m_est.shape == (16, 24)
+    assert (lo, hi) == (m_est.min(), m_est.max()) and hi > lo
+    step = (hi - lo) / 65535.0
+    rebuilt = lo + samples * step
+    assert np.abs(rebuilt - m_est).max() <= 0.5 * step * (1.0 + 1e-9)
 
 
 def test_solve_mode_flags(tmp_path):
@@ -730,6 +754,11 @@ def test_one_pick_dix_run_writes_a_one_line_noise_csv(tmp_path):
 FAILED_RERUNS = {
     "dix_1d": ("experiment = dix_1d\nmax_iter = 3\n", SWEEP_OVERFLOW["dix_1d_in_sweep"]),
     "denoise_2d": ("experiment = denoise_2d\nnz = 16\nnx = 16\nmax_iter = 3\n", NON_FINITE_NOISE["denoise_2d"]),
+    # the first run's .pgm files are not among those a csv run writes
+    "pgm16_to_csv": (
+        "experiment = denoise_2d\nnz = 16\nnx = 16\nmax_iter = 3\n",
+        NON_FINITE_NOISE["denoise_2d"] + "image_format = csv\n",
+    ),
 }
 
 
@@ -744,6 +773,35 @@ def test_failed_rerun_leaves_no_mode_directory(tmp_path, capsys, name):
     assert code == 2
     assert capsys.readouterr().err.startswith("solver diverged:")
     assert not (out / "combined").exists()
+
+
+MODE_CSV_FILES = ["e_est.csv", "history.csv", "m1.csv", "m2.csv", "m_est.csv", "summary.txt"]
+
+
+def test_csv_rerun_replaces_pgm_run_files(tmp_path):
+    text = "experiment = denoise_2d\nnz = 16\nnx = 16\nmax_iter = 3\n"
+    code, out = run_mini(tmp_path, text=text)
+    assert code == 0
+    assert len(list((out / "combined").glob("*.pgm"))) == 3
+    code, _ = run_mini(tmp_path, name="rerun.cfg", text=text + "image_format = csv\n", extra_args=("--seed", "5"))
+    assert code == 0
+    assert sorted(path.name for path in (out / "combined").iterdir()) == MODE_CSV_FILES
+
+
+def test_run_writes_and_removes_every_registered_format(tmp_path, capsys, monkeypatch):
+    # a format registered in IMAGE_FORMATS alone is written in 2-d and
+    # removed by a failed csv rerun
+    monkeypatch.setitem(cli.IMAGE_FORMATS, "tiff", "tif")
+    monkeypatch.setattr(cli, "write_image", lambda model, dims, path, image_format: Path(path).write_text(image_format))
+    code, out = run_mini(tmp_path, text="experiment = denoise_2d\nnz = 16\nnx = 16\nmax_iter = 3\nimage_format = tiff\n")
+    assert code == 0
+    mode_dir = out / "combined"
+    assert sorted(path.name for path in mode_dir.iterdir()) == sorted(MODE_CSV_FILES + ["m1.tif", "m2.tif", "m_est.tif"])
+    assert (mode_dir / "m1.tif").read_text() == "tiff"
+    code, _ = run_mini(tmp_path, name="rerun.cfg", text=NON_FINITE_NOISE["denoise_2d"] + "image_format = csv\n")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("solver diverged:")
+    assert not mode_dir.exists()
 
 
 def test_cli_overrides_are_validated(tmp_path, capsys):

@@ -3,22 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tikhtv.robust import MAD_SCALE, GradientStats, gradient_stats, mad, median, update_balance
+from tikhtv.robust import MAD_SCALE, GradientStats, gradient_stats, mad, update_balance
 
 
 # ---------------------------------------------------------------------------
-# median / MAD
+# MAD
 
 
-def test_median_odd_and_even():
-    assert median(np.array([3.0, 1.0, 2.0])) == 2.0
-    assert median(np.array([1.0, 2.0, 3.0, 4.0])) == 2.5
-    assert median(np.array([5.0])) == 5.0
-
-
-def test_median_empty_raises():
-    with pytest.raises(ValueError):
-        median(np.array([]))
+def test_mad_empty_raises():
     with pytest.raises(ValueError):
         mad(np.array([]))
 
@@ -143,7 +135,6 @@ def test_gradient_stats_monotone_in_threshold():
 def make_stats(smooth_max, normal_max):
     n = 4
     return GradientStats(
-        median=0.0,
         mad=1.0,
         zscores=np.zeros(n),
         normal_mask=np.ones(n, dtype=bool),
