@@ -185,7 +185,8 @@ def model_solver(problem: TestProblem, cfg: AdmmConfig, grad_op: LinearOperator)
     - ``"identity"`` (A = I): the matrix is ``w2 I + w1 L`` with L the
       Neumann Laplacian of the grid; one ``neumann_solve``, 0 iterations.
     - ``"dense"`` (few rows): an exact Woodbury solve, see
-      :func:`_woodbury_solver`; 0 iterations.
+      :func:`_woodbury_solver`, whose set-up costs ``rows + 1`` of those
+      Neumann solves, affordable only because the rows are few; 0 iterations.
     - anything else: CG under ``cfg.cg``, warm-started at ``x0``.
     """
     op, dims = problem.operator, problem.dims

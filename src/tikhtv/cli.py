@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 import time
+import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,6 +81,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Fully resolved experiment description (defaults already applied).
 
+    Each field other than ``solver`` is the config key of the same name.  A
+    field that defaults to None is a problem key: it is set only for the
+    experiments whose defaults give it a value.
+
     ``solver`` is the template of every run's solver settings: the config's
     solver keys over the ``AdmmConfig``/``CgSettings`` defaults and the
     experiment's defaults.  Its ``mode`` (the first of ``modes``) and its
@@ -87,13 +93,13 @@ class ExperimentConfig:
     """
 
     experiment: str
-    seed: int
-    modes: tuple[str, ...]
-    epsilon_scale: float
-    image_format: str
-    noise_level: float
-    noise_reference: str
     solver: AdmmConfig
+    noise_level: float
+    seed: int = 0
+    modes: tuple[str, ...] = ("combined",)
+    epsilon_scale: float = 1.0
+    image_format: str = "pgm16"
+    noise_reference: str = "data_norm"
     n: int | None = None
     m_rows: int | None = None
     signal: str | None = None
@@ -156,53 +162,9 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-# The solver keys are the AdmmConfig fields that a config sets once for all
-# runs, plus cg_<name> for each CgSettings field; each is parsed by its type.
-_SOLVER_KEYS = {
-    name: kind
-    for name, kind in typing.get_type_hints(AdmmConfig).items()
-    if name not in ("noise_energy", "mode", "cg")
-}
-_CG_KEYS = {f"cg_{name}": kind for name, kind in typing.get_type_hints(CgSettings).items()}
-_TYPE_PARSERS = {float: _parse_float, int: _parse_int, bool: _parse_bool, str: str}
-
-# key -> parser.  A key other than a solver key applies to an experiment
-# when the global or the experiment's defaults hold it.
-_SCHEMA = {
-    **{key: _TYPE_PARSERS[kind] for key, kind in {**_SOLVER_KEYS, **_CG_KEYS}.items()},
-    "experiment": lambda raw: _parse_choice(raw, EXPERIMENTS),
-    "seed": _parse_int,
-    "modes": _parse_modes,
-    "epsilon_scale": _parse_float,
-    "image_format": lambda raw: _parse_choice(raw, IMAGE_FORMATS),
-    "noise_level": _parse_float,
-    "noise_reference": lambda raw: _parse_choice(raw, NOISE_REFERENCES),
-    "n": _parse_int,
-    "m_rows": _parse_int,
-    "signal": lambda raw: _parse_choice(raw, ("all",) + SIGNAL_KINDS),
-    "nz": _parse_int,
-    "nx": _parse_int,
-    "phantom": lambda raw: _parse_choice(raw, PHANTOM_KINDS),
-    "pick_fraction": _parse_float,
-    "trace_fraction": _parse_float,
-    "n_angles": _parse_int,
-    "n_rays": _parse_int,
-    "angle_min": _parse_float,
-    "angle_max": _parse_float,
-}
-
-# the solver keys default to the AdmmConfig/CgSettings defaults
-_GLOBAL_DEFAULTS = dict(
-    seed=0,
-    modes=("combined",),
-    epsilon_scale=1.0,
-    image_format="pgm16",
-    noise_reference="data_norm",
-)
-
-# per-experiment values, solver keys included, over the global defaults
+# per-experiment values, solver keys included, over the field defaults
 _EXPERIMENT_DEFAULTS = {
-    # budget_weight raised from the global default: with a tiny noise budget
+    # budget_weight raised from the AdmmConfig default: with a tiny noise budget
     # the constraint multiplier climbs too slowly at unit weight and the
     # discrepancy would still sit far above epsilon after thousands of sweeps
     "cs_1d": dict(
@@ -239,6 +201,43 @@ _EXPERIMENT_DEFAULTS = {
 EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)
 
 
+def _field_types(cls, prefix: str = "", skip=()) -> dict:
+    return {prefix + name: kind for name, kind in typing.get_type_hints(cls).items() if name not in skip}
+
+
+# Each config key sets the field of the same name and type: a field of
+# ExperimentConfig, a field of AdmmConfig that a config sets once for all
+# runs, or, as cg_<name>, a field of CgSettings.
+_SOLVER_KEYS = _field_types(AdmmConfig, skip=("noise_energy", "mode", "cg"))
+_CG_KEYS = _field_types(CgSettings, prefix="cg_")
+_PROBLEM_KEYS = {field.name for field in dataclasses.fields(ExperimentConfig) if field.default is None}
+_TYPE_PARSERS = {float: _parse_float, int: _parse_int, bool: _parse_bool, str: str, tuple[str, ...]: _parse_modes}
+
+# the keys whose values come from a fixed set, held by the set's owner
+_CHOICES = {
+    "experiment": EXPERIMENTS,
+    "image_format": IMAGE_FORMATS,
+    "noise_reference": NOISE_REFERENCES,
+    "signal": ("all",) + SIGNAL_KINDS,
+    "phantom": PHANTOM_KINDS,
+}
+
+
+def _parser(key: str, kind):
+    if key in _CHOICES:
+        return functools.partial(_parse_choice, choices=_CHOICES[key])
+    if isinstance(kind, types.UnionType):  # int | None is parsed as int
+        kind, _ = typing.get_args(kind)
+    return _TYPE_PARSERS[kind]
+
+
+# key -> parser
+_SCHEMA = {
+    key: _parser(key, kind)
+    for key, kind in {**_field_types(ExperimentConfig, skip=("solver",)), **_SOLVER_KEYS, **_CG_KEYS}.items()
+}
+
+
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse flat ``key = value`` config text into an ExperimentConfig.
 
@@ -264,12 +263,11 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
     if "experiment" not in raw:
         raise ConfigError(f"{source}: missing required key 'experiment'")
-    experiment = _parse_choice(raw.pop("experiment"), EXPERIMENTS)
+    experiment = _SCHEMA["experiment"](raw.pop("experiment"))
 
-    defaults = {**_GLOBAL_DEFAULTS, **_EXPERIMENT_DEFAULTS[experiment]}
-    values = {"experiment": experiment, **defaults}
+    values = {"experiment": experiment, **_EXPERIMENT_DEFAULTS[experiment]}
     for key, raw_value in raw.items():
-        if key not in defaults and key not in _SOLVER_KEYS and key not in _CG_KEYS:
+        if key in _PROBLEM_KEYS and key not in values:
             raise ConfigError(f"{source}: key {key!r} does not apply to experiment {experiment!r}")
         try:
             values[key] = _SCHEMA[key](raw_value)
@@ -278,8 +276,10 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
     cg = {key[len("cg_"):]: values.pop(key) for key in _CG_KEYS if key in values}
     solver = {key: values.pop(key) for key in _SOLVER_KEYS if key in values}
+    # a dataclass holds a field's default as the class attribute
+    modes = values.get("modes", ExperimentConfig.modes)
     with _config_errors():
-        template = AdmmConfig(noise_energy=0.0, mode=values["modes"][0], cg=CgSettings(**cg), **solver)
+        template = AdmmConfig(noise_energy=0.0, mode=modes[0], cg=CgSettings(**cg), **solver)
     cfg = ExperimentConfig(solver=template, **values)
     _validate_config(cfg)
     return cfg
@@ -305,14 +305,11 @@ def _config_errors():
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
+    # these two rules have no other owner: the problem builders check the
+    # other problem keys, but make_radon sees only the derived angles, which
+    # leave angle_max out of a 180-degree span
     if not cfg.epsilon_scale > 0.0:
         raise ConfigError("epsilon_scale must be positive")
-    if cfg.noise_level < 0.0:
-        raise ConfigError("noise_level must be non-negative")
-    for name in ("pick_fraction", "trace_fraction"):
-        value = getattr(cfg, name)
-        if value is not None and not 0.0 < value <= 1.0:
-            raise ConfigError(f"{name} must lie in (0, 1]")
     if cfg.angle_min is not None and not -90.0 <= cfg.angle_min < cfg.angle_max <= 90.0:
         raise ConfigError("angles must satisfy -90 <= angle_min < angle_max <= 90")
     # the solver settings are checked where they are defined

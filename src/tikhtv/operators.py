@@ -60,10 +60,8 @@ class LinearOperator:
     label : str
         Human-readable description used in error messages and logs.
     structure : str
-        Optional hint for solvers that can exploit the matrix: ``"identity"``
-        marks A = I; ``"dense"`` marks a matrix with few rows, for which the
-        model update affords a set-up of ``rows + 1`` solves (a Woodbury
-        form).  Empty means no known structure.
+        Optional hint about the matrix: ``"identity"`` is A = I; ``"dense"``
+        is an explicit matrix with few rows.  Empty means no known structure.
     """
 
     rows: int

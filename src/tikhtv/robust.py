@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "MAD_SCALE",
     "GradientStats",
-    "mad",
     "gradient_stats",
     "update_balance",
 ]
@@ -33,28 +32,16 @@ _MAD_FLOOR = 1e-12
 _BALANCE_FLOOR = 1e-12
 
 
-def mad(values) -> float:
-    """Scaled median absolute deviation, ``1.4826 * median(|v - median(v)|)``."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise ValueError("mad of empty data")
-    return _scaled_median_abs(values - np.median(values))
-
-
-def _scaled_median_abs(deviations: np.ndarray) -> float:
-    """``1.4826 * median(|deviations|)``, the MAD of data whose deviations
-    from their median are given."""
-    return float(MAD_SCALE * np.median(np.abs(deviations), overwrite_input=True))
-
-
 @dataclass(frozen=True)
 class GradientStats:
     """Summary of one gradient iterate used by the balance update.
 
-    ``normal_max`` is the largest magnitude among entries whose |z-score| is
-    within the threshold; ``smooth_max`` is the sup norm of the smooth
-    gradient component; ``balance_residual`` is their difference (zero at the
-    balance fixed point).
+    ``mad`` is the scaled median absolute deviation of the gradient,
+    ``1.4826 * median(|g - median(g)|)``; ``normal_max`` is the largest
+    magnitude among entries whose |z-score| is within the threshold;
+    ``smooth_max`` is the sup norm of the smooth gradient component;
+    ``balance_residual`` is their difference (zero at the balance fixed
+    point).
     """
 
     mad: float
@@ -88,7 +75,7 @@ def gradient_stats(grad, smooth_grad, zscore_threshold: float = 2.5) -> Gradient
 
     mid = float(np.median(grad))
     deviations = grad - mid
-    spread = _scaled_median_abs(deviations)
+    spread = float(MAD_SCALE * np.median(np.abs(deviations), overwrite_input=True))
     grad_inf = float(np.max(np.abs(grad)))
     degenerate = spread < _MAD_FLOOR * (1.0 + grad_inf)
     if degenerate:
